@@ -6,7 +6,7 @@
 ///
 /// Doubles as the CI kernel-dispatch smoke: with SELNET_REQUIRE_SIMD=1 the
 /// process exits non-zero unless runtime dispatch resolved a non-scalar
-/// micro-kernel (the SIMD matrix job runs this after ctest).
+/// micro-kernel (CI's default leg runs this after ctest).
 
 #include <benchmark/benchmark.h>
 

@@ -379,8 +379,9 @@ int main(int argc, char** argv) {
   //                   BASELINE the acceptance ratio gates: what every batch
   //                   would pay if packs/folds were not keyed to a weight
   //                   version.
-  // Batch = 16 rows (kGemmPackMinRows): the smallest batch the packed path
-  // serves, i.e. the scheduler-flush shape where per-call packing hurts most.
+  // Batch = 16 rows (kGemmPackMinRows): the smallest batch at which the
+  // cache-off path packs too, so warm and repack time the same micro-kernel
+  // and differ only by the per-call pack pass.
   bench::PrintBanner("Pack cache: repeated batched Predict, cold vs warm");
   const size_t kPackBatch = 16;
   const size_t kPackIters = 600;

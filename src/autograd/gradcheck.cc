@@ -20,13 +20,19 @@ double MaxGradError(const std::vector<Var>& params,
   double max_err = 0.0;
   for (size_t pi = 0; pi < params.size(); ++pi) {
     Var p = params[pi];
+    // Every in-place write must drop the leaf's cached GEMM pack, or the
+    // next forward pass would still multiply by the unperturbed weights.
+    auto set = [&p](size_t i, float v) {
+      p->value.data()[i] = v;
+      p->pack_cache.Invalidate();
+    };
     for (size_t i = 0; i < p->value.size(); ++i) {
       float orig = p->value.data()[i];
-      p->value.data()[i] = orig + static_cast<float>(eps);
+      set(i, orig + static_cast<float>(eps));
       double lp = loss_fn()->value(0, 0);
-      p->value.data()[i] = orig - static_cast<float>(eps);
+      set(i, orig - static_cast<float>(eps));
       double lm = loss_fn()->value(0, 0);
-      p->value.data()[i] = orig;
+      set(i, orig);
       double numeric = (lp - lm) / (2.0 * eps);
       double a = analytic[pi].data()[i];
       double err = std::fabs(a - numeric) / std::max(1.0, std::fabs(numeric));

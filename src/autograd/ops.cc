@@ -42,13 +42,13 @@ Var ElementwiseOp(const Var& a, const char* name, Fn fn, Dfn dfn) {
 Var MatMul(const Var& a, const Var& b) {
   SEL_CHECK_EQ(a->cols(), b->rows());
   Matrix out(a->rows(), b->cols());
-  if (a->rows() >= tensor::kGemmPackMinRows && b->parents.empty() &&
+  if (a->rows() >= tensor::kGemmPrepackedMinRows && b->parents.empty() &&
       tensor::PackCacheEnabled()) {
-    // Batched product against a leaf (a parameter or a cached folded
+    // Multi-row product against a leaf (a parameter or a cached folded
     // constant): leaves persist across calls, so their packed panels are
-    // cached per weight version instead of repacked per call. Bit-identical
-    // to the Gemm path below — only the pack pass is skipped. `out` is
-    // zero-constructed, matching beta == 0.
+    // cached per weight version and every such product — down to a 2-row
+    // flush — runs on the packed micro-kernel. Bit-identical to the Gemm
+    // path below. `out` is zero-constructed, matching beta == 0.
     std::shared_ptr<const tensor::PackedWeights> packed =
         b->pack_cache.Get(b->value);
     tensor::GemmNNPrepacked(a->value, *packed, 1.0f, &out);

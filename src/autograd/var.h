@@ -35,7 +35,7 @@ class Node {
   const char* op = "leaf";
 
   /// Version-keyed packed-weight panels for `value` when this node is the B
-  /// operand of a batched MatMul (weights and folded constants — leaves that
+  /// operand of a multi-row MatMul (weights and folded constants — leaves that
   /// persist across calls). Filled lazily by ag::MatMul; anything that
   /// mutates `value` in place must call pack_cache.Invalidate() — the
   /// optimizers and parameter loaders do (see tensor/pack_cache.h).

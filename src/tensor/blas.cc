@@ -9,12 +9,11 @@ namespace selnet::tensor {
 
 namespace {
 
-// Plain saxpy rows [begin, m) of C += alpha * A * B; the zero-skip makes
-// post-ReLU-sparse activations cheap.
-void GemmNNSaxpyRows(const Matrix& a, const Matrix& b, float alpha,
-                     Matrix* out, size_t begin) {
+// Plain saxpy C += alpha * A * B; the zero-skip makes post-ReLU-sparse
+// activations cheap.
+void GemmNNSaxpy(const Matrix& a, const Matrix& b, float alpha, Matrix* out) {
   size_t m = a.rows(), k = a.cols(), n = b.cols();
-  for (size_t i = begin; i < m; ++i) {
+  for (size_t i = 0; i < m; ++i) {
     float* c_row = out->row(i);
     const float* a_row = a.row(i);
     for (size_t p = 0; p < k; ++p) {
@@ -24,42 +23,6 @@ void GemmNNSaxpyRows(const Matrix& a, const Matrix& b, float alpha,
       for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
     }
   }
-}
-
-// Small-m kernel: rows in blocks of 4, C tiled in cache-resident column
-// strips, B streamed contiguously. Loads each B row once per 4-row block
-// instead of once per row.
-void GemmNNBlocked(const Matrix& a, const Matrix& b, float alpha,
-                   Matrix* out) {
-  size_t m = a.rows(), k = a.cols(), n = b.cols();
-  constexpr size_t kRowBlock = 4;
-  constexpr size_t kColTile = 1024;
-  size_t i = 0;
-  for (; i + kRowBlock <= m; i += kRowBlock) {
-    for (size_t j0 = 0; j0 < n; j0 += kColTile) {
-      size_t jn = std::min(kColTile, n - j0);
-      float* c0 = out->row(i) + j0;
-      float* c1 = out->row(i + 1) + j0;
-      float* c2 = out->row(i + 2) + j0;
-      float* c3 = out->row(i + 3) + j0;
-      for (size_t p = 0; p < k; ++p) {
-        float a0 = alpha * a.row(i)[p];
-        float a1 = alpha * a.row(i + 1)[p];
-        float a2 = alpha * a.row(i + 2)[p];
-        float a3 = alpha * a.row(i + 3)[p];
-        if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-        const float* b_row = b.row(p) + j0;
-        for (size_t j = 0; j < jn; ++j) {
-          float bv = b_row[j];
-          c0[j] += a0 * bv;
-          c1[j] += a1 * bv;
-          c2[j] += a2 * bv;
-          c3[j] += a3 * bv;
-        }
-      }
-    }
-  }
-  GemmNNSaxpyRows(a, b, alpha, out, i);
 }
 
 // Batched path: BLIS-style. B lives in 16-column micro-panels laid out
@@ -73,59 +36,36 @@ void GemmNNBlocked(const Matrix& a, const Matrix& b, float alpha,
 // the stream is amortized ~16-fold and the micro-kernel runs at full width.
 //
 // Rounding: for each C element the sum over p runs in ascending p order with
-// two separately rounded ops per term, the same order as the saxpy kernels
+// two separately rounded ops per term, the same order as the saxpy kernel
 // and every dispatched ISA variant, so (with beta == 0) results are
 // bit-identical across kernels — batched serving returns exactly what a
-// single-row Predict would.
+// single-row Predict would. (Saxpy's zero-skip only drops products of exact
+// zeros, which add ±0 to a +0-seeded sum and cannot change a finite result.)
 
-// Rows [row_begin, row_end) of C += alpha * A * packed(B); row_end -
-// row_begin must be a multiple of kMicroRows (the caller peels the tail).
-void PackedRowBlocks(const Matrix& a, const float* packed, size_t n,
-                     float alpha, Matrix* out, size_t row_begin,
-                     size_t row_end) {
+// C rows [row, row + rows) += alpha * A * packed(B) with rows <= kMicroRows:
+// one micro-kernel call per panel. A short (tail) block pads its missing
+// slots by repeating its last row and drops their accumulators, so tail
+// rows run through the same dispatched kernel as full blocks. Rows are
+// independent in the kernel, so the padding cannot change a real row's
+// result.
+void PackedBlock(const Matrix& a, const float* packed, size_t n, float alpha,
+                 MicroKernelFn kernel, Matrix* out, size_t row, size_t rows) {
   size_t k = a.cols();
   size_t num_panels = (n + kPanelWidth - 1) / kPanelWidth;
-  const MicroKernelFn kernel = ActiveKernel().fn;
-  for (size_t i = row_begin; i + kMicroRows <= row_end; i += kMicroRows) {
-    for (size_t pa = 0; pa < num_panels; ++pa) {
-      size_t j0 = pa * kPanelWidth;
-      size_t jn = std::min(kPanelWidth, n - j0);
-      const float* bp = packed + pa * k * kPanelWidth;
-      float acc[kMicroRows * kPanelWidth] = {};
-      kernel(a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3), k, alpha, bp,
-             acc);
-      for (size_t r = 0; r < kMicroRows; ++r) {
-        float* c = out->row(i + r) + j0;
-        const float* acc_r = acc + r * kPanelWidth;
-        for (size_t j = 0; j < jn; ++j) c[j] += acc_r[j];
-      }
-    }
+  const float* a_rows[kMicroRows];
+  for (size_t r = 0; r < kMicroRows; ++r) {
+    a_rows[r] = a.row(row + std::min(r, rows - 1));
   }
-}
-
-// Tail rows (fewer than kMicroRows) over the packed layout. Same per-element
-// sequence as the micro-kernel (and as the saxpy kernel: products of exact
-// zeros only ever add ±0 to a +0-seeded accumulation, which cannot change
-// the result for finite inputs).
-void PackedTailRows(const Matrix& a, const float* packed, size_t n,
-                    float alpha, Matrix* out, size_t row_begin,
-                    size_t row_end) {
-  size_t k = a.cols();
-  size_t num_panels = (n + kPanelWidth - 1) / kPanelWidth;
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const float* a_row = a.row(i);
-    for (size_t pa = 0; pa < num_panels; ++pa) {
-      size_t j0 = pa * kPanelWidth;
-      size_t jn = std::min(kPanelWidth, n - j0);
-      const float* bp = packed + pa * k * kPanelWidth;
-      float acc[kPanelWidth] = {};
-      for (size_t p = 0; p < k; ++p) {
-        const float* b_row = bp + p * kPanelWidth;
-        float v = alpha * a_row[p];
-        for (size_t j = 0; j < kPanelWidth; ++j) acc[j] += v * b_row[j];
-      }
-      float* c = out->row(i) + j0;
-      for (size_t j = 0; j < jn; ++j) c[j] += acc[j];
+  for (size_t pa = 0; pa < num_panels; ++pa) {
+    size_t j0 = pa * kPanelWidth;
+    size_t jn = std::min(kPanelWidth, n - j0);
+    float acc[kMicroRows * kPanelWidth] = {};
+    kernel(a_rows[0], a_rows[1], a_rows[2], a_rows[3], k, alpha,
+           packed + pa * k * kPanelWidth, acc);
+    for (size_t r = 0; r < rows; ++r) {
+      float* c = out->row(row + r) + j0;
+      const float* acc_r = acc + r * kPanelWidth;
+      for (size_t j = 0; j < jn; ++j) c[j] += acc_r[j];
     }
   }
 }
@@ -137,36 +77,35 @@ enum class Sharding {
   kAlways,     // Shard any row count (tests exercise the decomposition).
 };
 
-// Serial or row-sharded run over an already packed B. Sharding splits whole
-// 4-row blocks across the global pool (disjoint C rows, identical per-block
-// arithmetic, so results do not depend on the schedule); ParallelFor falls
-// back to a serial loop on 1-thread hosts and inside pool workers — in
-// particular BatchScheduler flushes stay serial per flush, because the
-// scheduler's multi-core story is several flushes in flight across workers,
-// not intra-GEMM sharding (nested sharding could starve the fixed pool).
-// The sharded path serves direct large batched Predict calls on non-pool
-// threads: bulk scoring, eval sweeps, the server's unbatched fallback.
+// Serial or row-sharded run over an already packed B, in 4-row blocks (the
+// last one possibly short). Sharding splits whole blocks across the global
+// pool (disjoint C rows, identical per-block arithmetic, so results do not
+// depend on the schedule); ParallelFor falls back to a serial loop on
+// 1-thread hosts and inside pool workers — in particular BatchScheduler
+// flushes stay serial per flush, because the scheduler's multi-core story is
+// several flushes in flight across workers, not intra-GEMM sharding (nested
+// sharding could starve the fixed pool). The sharded path serves direct
+// large batched Predict calls on non-pool threads: bulk scoring, eval
+// sweeps, the server's unbatched fallback.
 void PackedCompute(const Matrix& a, const float* packed, size_t n, float alpha,
                    Matrix* out, Sharding sharding) {
   size_t m = a.rows();
-  size_t full = m - m % kMicroRows;
-  size_t num_blocks = full / kMicroRows;
+  size_t num_blocks = (m + kMicroRows - 1) / kMicroRows;
+  const MicroKernelFn kernel = ActiveKernel().fn;
+  auto block = [&](size_t blk) {
+    size_t row = blk * kMicroRows;
+    PackedBlock(a, packed, n, alpha, kernel, out, row,
+                std::min(kMicroRows, m - row));
+  };
   bool shard = sharding == Sharding::kAlways ||
                (sharding == Sharding::kByRowCount &&
                 m >= kGemmParallelMinRows &&
                 util::ThreadPool::Global().num_threads() > 1);
   if (shard) {
-    util::ParallelFor(
-        0, num_blocks,
-        [&](size_t blk) {
-          PackedRowBlocks(a, packed, n, alpha, out, blk * kMicroRows,
-                          (blk + 1) * kMicroRows);
-        },
-        /*grain=*/2);
+    util::ParallelFor(0, num_blocks, block, /*grain=*/2);
   } else {
-    PackedRowBlocks(a, packed, n, alpha, out, 0, full);
+    for (size_t blk = 0; blk < num_blocks; ++blk) block(blk);
   }
-  PackedTailRows(a, packed, n, alpha, out, full, m);
 }
 
 // Cache-less packed GEMM: packs into the bounded thread-local arena.
@@ -180,15 +119,14 @@ void GemmNNPacked(const Matrix& a, const Matrix& b, float alpha, Matrix* out,
   PackedCompute(a, packed, n, alpha, out, sharding);
 }
 
-// C(m x n) += alpha * A(m x k) * B(k x n), row-major. Kernel choice by batch
-// size: packing pays for itself once B's stream is reused across >= ~8 rows.
+// C(m x n) += alpha * A(m x k) * B(k x n), row-major, for a B with no cached
+// pack. Kernel choice by batch size: repacking B per call pays for itself
+// once its stream is reused across kGemmPackMinRows rows.
 void GemmNN(const Matrix& a, const Matrix& b, float alpha, Matrix* out) {
   if (a.rows() >= kGemmPackMinRows) {
     GemmNNPacked(a, b, alpha, out, Sharding::kByRowCount);
-  } else if (a.rows() >= 4) {
-    GemmNNBlocked(a, b, alpha, out);
   } else {
-    GemmNNSaxpyRows(a, b, alpha, out, 0);
+    GemmNNSaxpy(a, b, alpha, out);
   }
 }
 
@@ -238,10 +176,7 @@ void GemmNNWithKernel(const Matrix& a, const Matrix& b, float alpha,
       GemmNN(a, b, alpha, out);
       break;
     case GemmKernel::kSaxpy:
-      GemmNNSaxpyRows(a, b, alpha, out, 0);
-      break;
-    case GemmKernel::kBlocked:
-      GemmNNBlocked(a, b, alpha, out);
+      GemmNNSaxpy(a, b, alpha, out);
       break;
     case GemmKernel::kPacked:
       GemmNNPacked(a, b, alpha, out, Sharding::kNever);

@@ -7,13 +7,15 @@
 /// \brief Hot numeric kernels over Matrix: GEMM variants, axpy, reductions.
 ///
 /// These are the only loops that matter for training and serving throughput.
-/// The NN GEMM is a small kernel engine: batch size picks between a saxpy
-/// loop (1-3 rows), a 4-row blocked kernel (4-15 rows), and a BLIS-style
-/// packed path (16+ rows) whose 4x16 micro-kernel is runtime-dispatched
-/// across scalar/AVX2/AVX-512/NEON implementations (kernel_dispatch.h) and
-/// sharded across cores above kGemmParallelMinRows. Weight packing is either
-/// cached per parameter version (pack_cache.h, via GemmNNPrepacked) or done
-/// into a bounded thread-local scratch arena.
+/// Every multi-row NN product runs on one 4x16 packed micro-kernel,
+/// runtime-dispatched across scalar/AVX2/AVX-512/NEON implementations
+/// (kernel_dispatch.h) and sharded across cores above kGemmParallelMinRows.
+/// B's packed panels come either from a per-version cache (pack_cache.h, via
+/// GemmNNPrepacked — what ag::MatMul uses for leaf weights from
+/// kGemmPrepackedMinRows rows) or from a bounded thread-local scratch arena
+/// (GemmNN from kGemmPackMinRows rows). A row count that is not a multiple
+/// of 4 ends in one padded 4-row block. Below those thresholds a saxpy loop
+/// streams B once per row.
 ///
 /// Bit-identity: with beta == 0, every GemmNN path — any batch size, any
 /// dispatched ISA, any core count — keeps one per-element accumulation order
@@ -24,7 +26,13 @@
 
 namespace selnet::tensor {
 
-/// \brief Row count at which GemmNN switches to the packed micro-kernel.
+/// \brief Row count from which a product against a cached pack (a leaf
+/// weight in ag::MatMul) runs on GemmNNPrepacked. A single row stays on the
+/// saxpy loop: one padded 4-row block costs about twice as much.
+inline constexpr size_t kGemmPrepackedMinRows = 2;
+
+/// \brief Row count at which GemmNN (no cached pack) switches from the saxpy
+/// loop to packing B into scratch for the micro-kernel.
 inline constexpr size_t kGemmPackMinRows = 16;
 
 /// \brief Row count at which the packed path shards 4-row blocks across
@@ -36,7 +44,7 @@ inline constexpr size_t kGemmParallelMinRows = 128;
 
 /// \brief Forced kernel choice for GemmNNWithKernel (tests and benches pin
 /// each path; production code uses the batch-size auto dispatch).
-enum class GemmKernel { kAuto, kSaxpy, kBlocked, kPacked, kPackedParallel };
+enum class GemmKernel { kAuto, kSaxpy, kPacked, kPackedParallel };
 
 /// \brief out = alpha * A(^T?) * B(^T?) + beta * out.
 ///
@@ -50,8 +58,9 @@ void GemmNNWithKernel(const Matrix& a, const Matrix& b, float alpha,
                       Matrix* out, GemmKernel kernel);
 
 /// \brief out += alpha * A * packed(B), skipping the pack pass entirely —
-/// the serving hot path, fed by a version-keyed PackCache snapshot.
-/// Bit-identical to GemmNNWithKernel(..., kPacked) on the unpacked B.
+/// the inference hot path for any m >= kGemmPrepackedMinRows, fed by a
+/// version-keyed PackCache snapshot. Bit-identical to
+/// GemmNNWithKernel(..., kPacked) on the unpacked B.
 void GemmNNPrepacked(const Matrix& a, const PackedWeights& packed, float alpha,
                      Matrix* out);
 

@@ -7,8 +7,8 @@
 namespace selnet::tensor {
 
 namespace internal {
-// Each SIMD translation unit defines its probe; it returns nullptr when the
-// variant is not compiled in (portable build) or the CPU lacks the ISA.
+// Each SIMD translation unit defines its probe; it returns nullptr on other
+// architectures or when the CPU lacks the ISA.
 const KernelInfo* Avx2Kernel();
 const KernelInfo* Avx512Kernel();
 const KernelInfo* NeonKernel();

@@ -7,11 +7,14 @@
 /// \file kernel_dispatch.h
 /// \brief Runtime ISA dispatch for the packed GEMM micro-kernel.
 ///
-/// Every `GemmNN` above the packing threshold bottoms out in one 4x16
-/// micro-kernel: four A rows against one 16-column packed B panel. This file
-/// owns the table of available implementations (portable scalar, AVX2,
-/// AVX-512, NEON) and resolves the widest one the running CPU supports once
-/// at startup.
+/// Every multi-row inference product (and every `GemmNN` from the packing
+/// threshold) bottoms out in one 4x16 micro-kernel: four A rows against one
+/// 16-column packed B panel. This file owns the table of available
+/// implementations (portable scalar, AVX2, AVX-512, NEON) and resolves the
+/// widest one the running CPU supports once at startup. Every build compiles
+/// the variants for its architecture; the x86 ones carry per-function
+/// `target` attributes, so nothing else is compiled for the wider ISA, and a
+/// CPUID probe registers each only on hosts that support it.
 ///
 /// Bit-identity contract: for each output element, every implementation must
 /// perform the identical per-element operation sequence — `v = alpha * a[p]`
@@ -52,7 +55,8 @@ struct KernelInfo {
   MicroKernelFn fn;
 };
 
-/// \brief Kernels compiled in AND supported by the running CPU, scalar first.
+/// \brief Kernels for this architecture that the running CPU supports,
+/// scalar first.
 const std::vector<KernelInfo>& AvailableKernels();
 
 /// \brief The kernel every packed GemmNN currently dispatches to. Resolved

@@ -3,9 +3,9 @@
 /// \file kernels_avx2.cc
 /// \brief AVX2 variant of the 4x16 packed micro-kernel.
 ///
-/// Compiled with -mavx2 only when SELNET_ENABLE_SIMD is ON (or the whole
-/// build already targets an AVX2 host via -march=native); guarded again at
-/// runtime by CPUID, so the binary stays safe on older x86.
+/// Compiled into every x86 build: only this function carries the AVX2
+/// target attribute (the rest of the binary keeps the build's -march), and
+/// the CPUID probe below registers it only on hosts that support AVX2.
 ///
 /// Bit-identity: vectorization is across the 16-column panel axis only. Each
 /// output element still sees `v = alpha * a[p]` then `acc += v * b` as two
@@ -13,7 +13,7 @@
 /// FMA, to round exactly like the portable scalar kernel (the TU is built
 /// with -ffp-contract=off so the compiler cannot fuse them either).
 
-#if defined(SELNET_ENABLE_SIMD) && defined(__AVX2__)
+#if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
@@ -21,9 +21,9 @@ namespace selnet::tensor::internal {
 
 namespace {
 
-void MicroKernelAvx2(const float* a0, const float* a1, const float* a2,
-                     const float* a3, size_t k, float alpha, const float* panel,
-                     float* acc) {
+__attribute__((target("avx2"))) void MicroKernelAvx2(
+    const float* a0, const float* a1, const float* a2, const float* a3,
+    size_t k, float alpha, const float* panel, float* acc) {
   // 4 rows x 16 columns = 8 ymm accumulators; panel rows are unaligned-safe.
   __m256 c00 = _mm256_loadu_ps(acc + 0);
   __m256 c01 = _mm256_loadu_ps(acc + 8);
@@ -70,7 +70,7 @@ const KernelInfo* Avx2Kernel() {
 
 }  // namespace selnet::tensor::internal
 
-#else  // portable build or non-x86 target
+#else  // non-x86 target
 
 namespace selnet::tensor::internal {
 const KernelInfo* Avx2Kernel() { return nullptr; }

@@ -3,10 +3,12 @@
 /// \file kernels_avx512.cc
 /// \brief AVX-512F variant of the 4x16 packed micro-kernel: one zmm register
 /// covers a whole 16-column panel row, so the inner loop is 4 broadcasts,
-/// 4 multiplies and 4 adds per p. Same bit-identity rules as kernels_avx2.cc
-/// (mul+add, no FMA, -ffp-contract=off, column-axis vectorization only).
+/// 4 multiplies and 4 adds per p. Compiled into every x86 build through a
+/// per-function target attribute and registered only when CPUID reports
+/// AVX-512F. Same bit-identity rules as kernels_avx2.cc (mul+add, no FMA,
+/// -ffp-contract=off, column-axis vectorization only).
 
-#if defined(SELNET_ENABLE_SIMD) && defined(__AVX512F__)
+#if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
@@ -14,9 +16,9 @@ namespace selnet::tensor::internal {
 
 namespace {
 
-void MicroKernelAvx512(const float* a0, const float* a1, const float* a2,
-                       const float* a3, size_t k, float alpha,
-                       const float* panel, float* acc) {
+__attribute__((target("avx512f"))) void MicroKernelAvx512(
+    const float* a0, const float* a1, const float* a2, const float* a3,
+    size_t k, float alpha, const float* panel, float* acc) {
   static_assert(kPanelWidth == 16, "one zmm per panel row");
   __m512 c0 = _mm512_loadu_ps(acc + 0);
   __m512 c1 = _mm512_loadu_ps(acc + 16);
@@ -45,7 +47,7 @@ const KernelInfo* Avx512Kernel() {
 
 }  // namespace selnet::tensor::internal
 
-#else  // portable build or non-x86 target
+#else  // non-x86 target
 
 namespace selnet::tensor::internal {
 const KernelInfo* Avx512Kernel() { return nullptr; }

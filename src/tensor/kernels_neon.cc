@@ -1,12 +1,13 @@
 #include "tensor/kernel_dispatch.h"
 
 /// \file kernels_neon.cc
-/// \brief NEON variant of the 4x16 packed micro-kernel for aarch64 hosts
-/// (NEON is baseline there, so no per-file flags and no runtime probe).
+/// \brief NEON variant of the 4x16 packed micro-kernel, compiled into every
+/// aarch64 build (NEON is baseline there, so no target attribute and no
+/// runtime probe).
 /// Bit-identity rules as in kernels_avx2.cc: separate vmul/vadd — never
 /// vmla/fmla, which fuse — and column-axis vectorization only.
 
-#if defined(SELNET_ENABLE_SIMD) && defined(__ARM_NEON)
+#if defined(__ARM_NEON)
 
 #include <arm_neon.h>
 
@@ -47,7 +48,7 @@ const KernelInfo* NeonKernel() { return &kNeonKernel; }
 
 }  // namespace selnet::tensor::internal
 
-#else  // portable build or non-ARM target
+#else  // non-ARM target
 
 namespace selnet::tensor::internal {
 const KernelInfo* NeonKernel() { return nullptr; }

@@ -79,7 +79,11 @@ void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn
   }
   size_t num_chunks = std::min(n / grain + 1, pool.num_threads() * 4);
   std::atomic<size_t> next{begin};
-  std::atomic<size_t> done_chunks{0};
+  // Everything below lives on this stack frame. Completions are counted and
+  // signalled under `mu`, so the caller cannot observe the final count (and
+  // return, destroying `mu` and `cv`) until the last worker has released
+  // the lock — its final touch of this frame.
+  size_t done_chunks = 0;
   std::mutex mu;
   std::condition_variable cv;
   for (size_t c = 0; c < num_chunks; ++c) {
@@ -90,14 +94,12 @@ void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn
         size_t chunk_end = std::min(chunk_begin + grain, end);
         for (size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
       }
-      if (done_chunks.fetch_add(1) + 1 == num_chunks) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done_chunks == num_chunks) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done_chunks.load() == num_chunks; });
+  cv.wait(lock, [&] { return done_chunks == num_chunks; });
 }
 
 }  // namespace selnet::util

@@ -242,11 +242,11 @@ TEST(SerializeTest, Version1FilesWithoutChecksumsStillLoad) {
 
 // ----------------------------------------------- packed-weight staleness ---
 
-// Batched forwards (>= tensor::kGemmPackMinRows rows) run against cached
-// packed weight panels; these tests pin the invalidation contract at every
-// value-mutation point. The reference is a raw Gemm on the current weights,
-// which is bit-identical to the prepacked path by the kernel contract — any
-// stale pack shows up as an exact-inequality failure.
+// Multi-row forwards (>= tensor::kGemmPrepackedMinRows rows) run against
+// cached packed weight panels; these tests pin the invalidation contract at
+// every value-mutation point. The reference is a raw Gemm on the current
+// weights, which is bit-identical to the prepacked path by the kernel
+// contract — any stale pack shows up as an exact-inequality failure.
 Matrix LinearReference(const Linear& lin, const Matrix& x) {
   Matrix out(x.rows(), lin.out_dim());
   tensor::Gemm(x, false, lin.weight()->value, false, 1.0f, 0.0f, &out);

@@ -684,20 +684,28 @@ TEST_F(ServeFixture, HotSwapUnderConcurrentLoadFailsNoQuery) {
 
 TEST_F(ServeFixture, SweepFastPathBitIdenticalToRowExpansion) {
   // Model level: one control-point evaluation + K PWL lookups must equal the
-  // K-row batched Predict bit-for-bit (the SweepCapable contract).
-  std::vector<float> ts;
-  for (int i = 0; i < 16; ++i) ts.push_back(wl_.tmax * float(i) / 15.0f);
+  // K-row batched Predict bit-for-bit (the SweepCapable contract). The K
+  // values run row expansion through every padded tail size of the packed
+  // micro-kernel, alone (2, 3) and after full blocks (5, 7), and through
+  // whole blocks only (16).
   const float* q = wl_.queries.row(2);
-  std::vector<float> fast = model_->SweepEstimate(q, ts.data(), ts.size());
-  Matrix xm(ts.size(), 6), tm(ts.size(), 1);
-  for (size_t r = 0; r < ts.size(); ++r) {
-    std::copy(q, q + 6, xm.row(r));
-    tm(r, 0) = ts[r];
-  }
-  Matrix expanded = model_->Predict(xm, tm);
-  ASSERT_EQ(fast.size(), ts.size());
-  for (size_t r = 0; r < ts.size(); ++r) {
-    EXPECT_EQ(fast[r], expanded(r, 0)) << "threshold " << ts[r];
+  std::vector<float> ts;
+  for (size_t k : {2u, 3u, 5u, 7u, 16u}) {
+    ts.clear();
+    for (size_t i = 0; i < k; ++i) {
+      ts.push_back(wl_.tmax * float(i) / float(k - 1));
+    }
+    std::vector<float> fast = model_->SweepEstimate(q, ts.data(), ts.size());
+    Matrix xm(ts.size(), 6), tm(ts.size(), 1);
+    for (size_t r = 0; r < ts.size(); ++r) {
+      std::copy(q, q + 6, xm.row(r));
+      tm(r, 0) = ts[r];
+    }
+    Matrix expanded = model_->Predict(xm, tm);
+    ASSERT_EQ(fast.size(), ts.size());
+    for (size_t r = 0; r < ts.size(); ++r) {
+      EXPECT_EQ(fast[r], expanded(r, 0)) << "K=" << k << " threshold " << ts[r];
+    }
   }
 
   // Server level: the same request answered through the fast path and

@@ -201,8 +201,8 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b, const char* what) {
       << what << ": outputs are not bit-identical";
 }
 
-// Post-ReLU-like inputs: the saxpy/blocked kernels take their zero-skip
-// branches, the packed kernels do not — outputs must still match bitwise.
+// Post-ReLU-like inputs: the saxpy kernel takes its zero-skip branch, the
+// packed kernels do not — outputs must still match bitwise.
 Matrix ReluSparse(Matrix m) {
   for (size_t i = 0; i < m.size(); ++i) {
     if (m.data()[i] < 0.3f) m.data()[i] = 0.0f;
@@ -222,15 +222,18 @@ TEST(KernelDispatchTest, ScalarAlwaysPresentAndOverridable) {
   SetActiveKernel("scalar");
 }
 
-// The acceptance contract: every GemmNN path — saxpy, blocked, packed under
-// every compiled-in ISA kernel, the parallel row-sharded path, and the
-// prepacked (cache-fed) path — produces bit-identical output.
+// The acceptance contract: every GemmNN path — saxpy, packed under every
+// available ISA kernel, the parallel row-sharded path, and the prepacked
+// (cache-fed) path — produces bit-identical output.
 TEST(KernelDispatchTest, AllPathsBitIdenticalToPortablePacked) {
   struct Shape {
     size_t m, k, n;
   };
-  // Odd shapes exercise the 4-row tail and the panel zero-padding.
-  const Shape shapes[] = {{17, 19, 23}, {32, 31, 16}, {64, 40, 48}, {5, 7, 90}};
+  // Odd shapes exercise the panel zero-padding; m covers a lone row, every
+  // padded tail size (m mod 4 = 1, 2, 3) alone and after a full block.
+  const Shape shapes[] = {{17, 19, 23}, {32, 31, 16}, {64, 40, 48},
+                          {5, 7, 90},   {1, 13, 20},  {2, 9, 33},
+                          {3, 24, 17},  {6, 11, 40},  {7, 16, 5}};
   for (const Shape& s : shapes) {
     for (bool sparse : {false, true}) {
       util::Rng rng(s.m * 7919 + s.k * 131 + s.n + (sparse ? 1 : 0));
@@ -244,9 +247,8 @@ TEST(KernelDispatchTest, AllPathsBitIdenticalToPortablePacked) {
         GemmNNWithKernel(a, b, 1.0f, &ref, GemmKernel::kPacked);
       }
 
-      for (GemmKernel path : {GemmKernel::kSaxpy, GemmKernel::kBlocked,
-                              GemmKernel::kPacked, GemmKernel::kPackedParallel,
-                              GemmKernel::kAuto}) {
+      for (GemmKernel path : {GemmKernel::kSaxpy, GemmKernel::kPacked,
+                              GemmKernel::kPackedParallel, GemmKernel::kAuto}) {
         Matrix out(s.m, s.n);
         KernelGuard guard("scalar");
         GemmNNWithKernel(a, b, 1.0f, &out, path);

@@ -180,6 +180,21 @@ TEST(ParallelForTest, EmptyAndTinyRanges) {
   EXPECT_EQ(count.load(), 3);
 }
 
+// Frame lifetime: once the caller can see the last chunk complete, it
+// returns and destroys its stack mutex, so no worker may touch that mutex
+// afterwards (under TSan a late lock is reported as a race with the
+// destructor). Many short calls whose range just exceeds `grain` maximise
+// the window; on a multi-core host every call takes the parallel branch.
+TEST(ParallelForTest, ManyShortCallsOnGlobalPool) {
+  constexpr size_t kGrain = 2;
+  constexpr size_t kRange = kGrain + 1;
+  std::atomic<size_t> total{0};
+  for (int call = 0; call < 20000; ++call) {
+    ParallelFor(0, kRange, [&](size_t) { total.fetch_add(1); }, kGrain);
+  }
+  EXPECT_EQ(total.load(), 20000 * kRange);
+}
+
 TEST(TableTest, RendersAlignedColumns) {
   AsciiTable table({"Model", "MSE"});
   table.AddRow({"SelNet", "4.95"});
