@@ -1,8 +1,8 @@
 /// \file micro_ops.cc
 /// \brief google-benchmark microbenchmarks for the hot kernels: GEMM (per
 /// dispatched micro-kernel, with GFLOP/s), pack-cache hit/build cost,
-/// autograd round trips, PWL gather, cover-tree operations and single-query
-/// SelNet prediction latency.
+/// autograd round trips, PWL gather, cover-tree operations, single-query
+/// SelNet prediction latency and the serving cache's per-request key cost.
 ///
 /// Doubles as the CI kernel-dispatch smoke: with SELNET_REQUIRE_SIMD=1 the
 /// process exits non-zero unless runtime dispatch resolved a non-scalar
@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "eval/suite.h"
 #include "index/cover_tree.h"
+#include "serve/estimate_cache.h"
 #include "tensor/blas.h"
 #include "tensor/kernel_dispatch.h"
 #include "tensor/pack_cache.h"
@@ -194,6 +195,25 @@ BENCHMARK(BM_GemmPrepackedVsRepack)
     ->Args({256, 1})
     ->Args({512, 0})
     ->Args({512, 1});
+
+// One request's cache-key work as the server does it: one QueryDigest of a
+// dim-128 query, then K threshold keys derived from it (K = 1: a point, K =
+// 16: a sweep).
+void BM_CacheKeys(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const size_t dim = 128;
+  util::Rng rng(14);
+  Matrix x = Matrix::Gaussian(1, dim, &rng);
+  serve::EstimateCache cache;
+  for (auto _ : state) {
+    uint64_t digest = cache.QueryDigest(x.data(), dim);
+    for (size_t i = 0; i < k; ++i) {
+      benchmark::DoNotOptimize(cache.Key(1, digest, float(i) / float(k)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_CacheKeys)->Arg(1)->Arg(16);
 
 }  // namespace
 

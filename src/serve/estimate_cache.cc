@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -17,47 +18,61 @@ EstimateCache::EstimateCache(const CacheConfig& cfg) : cfg_(cfg) {
 
 namespace {
 
-// FNV-1a over 64-bit words; inputs are quantized to integers first so that
-// bit-identical floats (and floats within one quantum) map to the same key.
-inline uint64_t FnvMix(uint64_t h, uint64_t word) {
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (i * 8)) & 0xffULL;
-    h *= kPrime;
+constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+
+// One round of the digest chain; bijective in `h` for a fixed word.
+inline uint64_t Mix(uint64_t h, uint64_t word) {
+  h = (h ^ word) * kMul;
+  return h ^ (h >> 32);
+}
+
+// murmur3's fmix64: every key bit depends on every input bit, so
+// ShardedLru's `key % shards` sees uniform low bits.
+inline uint64_t Finalize(uint64_t k) {
+  k = (k ^ (k >> 33)) * 0xff51afd7ed558ccdULL;
+  k = (k ^ (k >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  return k ^ (k >> 33);
+}
+
+// The value's llround index on the quantum grid (top bits 00 or 11). A NaN,
+// infinite or |q| >= 2^62 quotient — where llround overflows or each float
+// is its own grid point anyway — is keyed on the float's bits under tag 01
+// (NaN canonicalized), so it can neither alias a grid index nor another
+// out-of-range value.
+inline uint64_t Word(float v, float quantum) {
+  double q = double(v) / double(quantum);
+  if (std::fabs(q) < 0x1p62) {
+    // std::llround inlined: truncate, then step away from zero on a half.
+    int64_t i = static_cast<int64_t>(q);
+    double frac = q - double(i);  // Exact below 2^53; 0 above.
+    return static_cast<uint64_t>(i + (frac >= 0.5) - (frac <= -0.5));
   }
-  return h;
+  uint32_t bits = 0x7fc00000u;
+  if (!std::isnan(v)) std::memcpy(&bits, &v, sizeof(bits));
+  return (uint64_t{1} << 62) | bits;
 }
 
-inline int64_t Quantize(float v, float quantum) {
-  return static_cast<int64_t>(std::llround(double(v) / double(quantum)));
-}
-
-constexpr uint64_t kOffset = 14695981039346656037ULL;
-// Distinguishes curve keys from scalar keys built over the same inputs.
-constexpr uint64_t kCurveSalt = 0x9e3779b97f4a7c15ULL;
+// Ends curve keys in place of the threshold word; top bits 10 are never a
+// Word, so a curve key never equals a scalar key of the same query.
+constexpr uint64_t kCurveTag = uint64_t{1} << 63;
 
 }  // namespace
 
-uint64_t EstimateCache::MakeKey(uint64_t model_version, const float* x,
-                                size_t dim, float t) const {
-  uint64_t h = FnvMix(kOffset, model_version);
-  h = FnvMix(h, static_cast<uint64_t>(dim));
-  for (size_t i = 0; i < dim; ++i) {
-    h = FnvMix(h, static_cast<uint64_t>(Quantize(x[i], cfg_.query_quantum)));
-  }
-  h = FnvMix(h, static_cast<uint64_t>(Quantize(t, cfg_.threshold_quantum)));
+uint64_t EstimateCache::QueryDigest(const float* x, size_t dim) const {
+  uint64_t h = Mix(kMul, dim);
+  for (size_t i = 0; i < dim; ++i) h = Mix(h, Word(x[i], cfg_.query_quantum));
   return h;
 }
 
-uint64_t EstimateCache::MakeCurveKey(uint64_t model_version, const float* x,
-                                     size_t dim) const {
-  uint64_t h = FnvMix(kOffset, kCurveSalt);
-  h = FnvMix(h, model_version);
-  h = FnvMix(h, static_cast<uint64_t>(dim));
-  for (size_t i = 0; i < dim; ++i) {
-    h = FnvMix(h, static_cast<uint64_t>(Quantize(x[i], cfg_.query_quantum)));
-  }
-  return h;
+uint64_t EstimateCache::Key(uint64_t model_version, uint64_t digest,
+                            float t) const {
+  return Finalize(
+      Mix(Mix(digest, model_version), Word(t, cfg_.threshold_quantum)));
+}
+
+uint64_t EstimateCache::CurveKey(uint64_t model_version,
+                                 uint64_t digest) const {
+  return Finalize(Mix(Mix(digest, model_version), kCurveTag));
 }
 
 bool EstimateCache::Lookup(uint64_t key, float* value) {

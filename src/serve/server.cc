@@ -163,9 +163,9 @@ tensor::Matrix SelNetServer::PredictOnHandle(const ModelHandle& handle,
   stats_.RecordBatch(x.rows());
   if (cfg_.enable_cache) {
     for (size_t i = 0; i < x.rows(); ++i) {
-      uint64_t key =
-          cache_.MakeKey(handle.version, x.row(i), cfg_.dim, t(i, 0));
-      cache_.Insert(key, y(i, 0));
+      // Rows come from different requests: one digest each.
+      uint64_t digest = cache_.QueryDigest(x.row(i), cfg_.dim);
+      cache_.Insert(cache_.Key(handle.version, digest, t(i, 0)), y(i, 0));
     }
   }
   return y;
@@ -184,7 +184,7 @@ tensor::Matrix SelNetServer::PredictOnModel(const std::string& model,
 void SelNetServer::RunSweepFastPath(
     const std::shared_ptr<PendingResponse>& state, const EstimateRequest& req,
     const ModelHandle& handle, const std::vector<size_t>& missing,
-    std::chrono::steady_clock::time_point enqueued,
+    uint64_t digest, std::chrono::steady_clock::time_point enqueued,
     ServeStats::RouteStats* route_stats) {
   // On the pooled path everything before this point was pool wait; that is
   // the fast path's queue stage.
@@ -219,8 +219,7 @@ void SelNetServer::RunSweepFastPath(
     std::vector<float> values;
     if (cfg_.enable_curve_cache &&
         handle.model.sweep()->SupportsSweepCurve()) {
-      uint64_t curve_key =
-          cache_.MakeCurveKey(handle.version, req.x.data(), cfg_.dim);
+      uint64_t curve_key = cache_.CurveKey(handle.version, digest);
       CurveEntry entry;
       bool hit = cache_.LookupCurve(curve_key, &entry);
       stats_.RecordCurveLookup(hit);
@@ -262,9 +261,7 @@ void SelNetServer::RunSweepFastPath(
     for (size_t r = 0; r < missing.size(); ++r) {
       state->resp.estimates[missing[r]] = values[r];
       if (cfg_.enable_cache) {
-        uint64_t key =
-            cache_.MakeKey(handle.version, req.x.data(), cfg_.dim, ts[r]);
-        cache_.Insert(key, values[r]);
+        cache_.Insert(cache_.Key(handle.version, digest, ts[r]), values[r]);
       }
       stats_.RecordLatencyMs(elapsed_ms);
       route_stats->RecordLatencyMs(elapsed_ms);
@@ -282,7 +279,8 @@ bool SelNetServer::TryDegrade(const EstimateRequest& req,
   Result<ModelHandle> handle = registry_.Get(route);
   if (!handle.ok()) return false;
   const ModelHandle& h = handle.ValueOrDie();
-  uint64_t key = cache_.MakeCurveKey(h.version, req.x.data(), cfg_.dim);
+  uint64_t key =
+      cache_.CurveKey(h.version, cache_.QueryDigest(req.x.data(), cfg_.dim));
   CurveEntry entry;
   bool hit = cache_.LookupCurve(key, &entry);
   stats_.RecordCurveLookup(hit);
@@ -436,14 +434,16 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
   route_stats->RecordRequests(k);
   if (traced) req.trace->Observe(Stage::kRoute, stage_ms_since(enqueued));
 
+  const auto cache_start = traced ? std::chrono::steady_clock::now() : enqueued;
+  // One quantized-query hash per request; every key below derives from it.
+  const uint64_t digest = cfg_.enable_cache || cfg_.enable_curve_cache
+                              ? cache_.QueryDigest(req.x.data(), cfg_.dim)
+                              : 0;
   std::vector<size_t> missing;
   missing.reserve(k);
   if (cfg_.enable_cache) {
-    const auto cache_start =
-        traced ? std::chrono::steady_clock::now() : enqueued;
     for (size_t i = 0; i < k; ++i) {
-      uint64_t key =
-          cache_.MakeKey(h.version, req.x.data(), cfg_.dim, req.thresholds[i]);
+      uint64_t key = cache_.Key(h.version, digest, req.thresholds[i]);
       if (cache_.Lookup(key, &state->resp.estimates[i])) {
         stats_.RecordCacheHit();
         route_stats->RecordCache(true);
@@ -479,16 +479,16 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
         std::lock_guard<std::mutex> lock(sweep_mu_);
         ++sweep_inflight_;
       }
-      pool_->Submit([this, state, shared_req, h, shared_missing, enqueued,
-                     route_stats] {
-        RunSweepFastPath(state, *shared_req, h, *shared_missing, enqueued,
-                         route_stats);
+      pool_->Submit([this, state, shared_req, h, shared_missing, digest,
+                     enqueued, route_stats] {
+        RunSweepFastPath(state, *shared_req, h, *shared_missing, digest,
+                         enqueued, route_stats);
         std::lock_guard<std::mutex> lock(sweep_mu_);
         --sweep_inflight_;
         sweep_cv_.notify_all();
       });
     } else {
-      RunSweepFastPath(state, req, h, missing, enqueued, route_stats);
+      RunSweepFastPath(state, req, h, missing, digest, enqueued, route_stats);
     }
     return;
   }

@@ -252,11 +252,12 @@ class SelNetServer {
                                 const tensor::Matrix& t);
   /// Answer `missing` thresholds of `req` through one SweepCapable pass.
   /// `enqueued` is the submit time, so recorded latency includes pool queue
-  /// delay and stays comparable with scheduler-row latency. `route_stats` is
-  /// the request's per-route accumulator.
+  /// delay and stays comparable with scheduler-row latency. `digest` is
+  /// `req.x`'s EstimateCache::QueryDigest (0 with both caches off);
+  /// `route_stats` is the request's per-route accumulator.
   void RunSweepFastPath(const std::shared_ptr<PendingResponse>& state,
                         const EstimateRequest& req, const ModelHandle& handle,
-                        const std::vector<size_t>& missing,
+                        const std::vector<size_t>& missing, uint64_t digest,
                         std::chrono::steady_clock::time_point enqueued,
                         ServeStats::RouteStats* route_stats);
   /// Degrade instead of shedding: answer `req` from the version-keyed cached

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -36,7 +39,7 @@ using tensor::Matrix;
 TEST(EstimateCacheTest, MissThenHit) {
   EstimateCache cache;
   float x[3] = {0.1f, 0.2f, 0.3f};
-  uint64_t key = cache.MakeKey(1, x, 3, 0.5f);
+  uint64_t key = cache.Key(1, cache.QueryDigest(x, 3), 0.5f);
   float v = 0.0f;
   EXPECT_FALSE(cache.Lookup(key, &v));
   cache.Insert(key, 42.0f);
@@ -55,21 +58,24 @@ TEST(EstimateCacheTest, QuantizationCollapsesNearbyInputs) {
   float a[2] = {0.5f, 0.5f};
   float b[2] = {0.5f + 1e-5f, 0.5f};  // Within one quantum of a.
   float c[2] = {0.6f, 0.5f};          // Far from a.
-  EXPECT_EQ(cache.MakeKey(1, a, 2, 0.3f), cache.MakeKey(1, b, 2, 0.3f));
-  EXPECT_NE(cache.MakeKey(1, a, 2, 0.3f), cache.MakeKey(1, c, 2, 0.3f));
+  EXPECT_EQ(cache.Key(1, cache.QueryDigest(a, 2), 0.3f),
+            cache.Key(1, cache.QueryDigest(b, 2), 0.3f));
+  EXPECT_NE(cache.Key(1, cache.QueryDigest(a, 2), 0.3f),
+            cache.Key(1, cache.QueryDigest(c, 2), 0.3f));
 }
 
 TEST(EstimateCacheTest, ModelVersionChangesKey) {
   EstimateCache cache;
   float x[2] = {0.5f, 0.5f};
-  EXPECT_NE(cache.MakeKey(1, x, 2, 0.3f), cache.MakeKey(2, x, 2, 0.3f));
+  EXPECT_NE(cache.Key(1, cache.QueryDigest(x, 2), 0.3f),
+            cache.Key(2, cache.QueryDigest(x, 2), 0.3f));
 }
 
 TEST(EstimateCacheTest, CurveEntriesRoundTrip) {
   EstimateCache cache;
   float x[2] = {0.5f, 0.5f};
-  uint64_t key = cache.MakeCurveKey(7, x, 2);
-  EXPECT_NE(key, cache.MakeCurveKey(8, x, 2));  // Version-keyed.
+  uint64_t key = cache.CurveKey(7, cache.QueryDigest(x, 2));
+  EXPECT_NE(key, cache.CurveKey(8, cache.QueryDigest(x, 2)));  // Version-keyed.
   CurveEntry entry;
   EXPECT_FALSE(cache.LookupCurve(key, &entry));
   cache.InsertCurve(key, CurveEntry{{0.0f, 0.5f, 1.0f}, {0.0f, 2.0f, 3.0f}});
@@ -91,15 +97,17 @@ TEST(EstimateCacheTest, CurveTableEvictsIndependently) {
   float x[1];
   for (int i = 0; i < 3; ++i) {
     x[0] = float(i);
-    cache.InsertCurve(cache.MakeCurveKey(1, x, 1),
+    cache.InsertCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)),
                       CurveEntry{{0.0f, 1.0f}, {0.0f, float(i)}});
   }
   EXPECT_EQ(cache.curve_size(), 2u);  // Oldest curve evicted.
   CurveEntry entry;
   x[0] = 0.0f;
-  EXPECT_FALSE(cache.LookupCurve(cache.MakeCurveKey(1, x, 1), &entry));
+  EXPECT_FALSE(
+      cache.LookupCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)), &entry));
   x[0] = 2.0f;
-  EXPECT_TRUE(cache.LookupCurve(cache.MakeCurveKey(1, x, 1), &entry));
+  EXPECT_TRUE(
+      cache.LookupCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)), &entry));
   // The scalar table is untouched by curve inserts.
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -113,14 +121,14 @@ TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 4; ++i) {
     x[0] = float(i);
-    keys.push_back(cache.MakeKey(1, x, 1, 0.0f));
+    keys.push_back(cache.Key(1, cache.QueryDigest(x, 1), 0.0f));
     cache.Insert(keys.back(), float(i));
   }
   // Touch key 0 so key 1 is now the LRU entry.
   float v = 0.0f;
   ASSERT_TRUE(cache.Lookup(keys[0], &v));
   x[0] = 99.0f;
-  cache.Insert(cache.MakeKey(1, x, 1, 0.0f), 99.0f);
+  cache.Insert(cache.Key(1, cache.QueryDigest(x, 1), 0.0f), 99.0f);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_TRUE(cache.Lookup(keys[0], &v));
@@ -132,7 +140,7 @@ TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
 TEST(EstimateCacheTest, ClearDropsEntries) {
   EstimateCache cache;
   float x[1] = {1.0f};
-  uint64_t key = cache.MakeKey(1, x, 1, 0.0f);
+  uint64_t key = cache.Key(1, cache.QueryDigest(x, 1), 0.0f);
   cache.Insert(key, 5.0f);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -150,7 +158,7 @@ TEST(EstimateCacheTest, ConcurrentInsertLookupIsSafe) {
       float x[1];
       for (int i = 0; i < 2000; ++i) {
         x[0] = float((t * 131 + i) % 512);
-        uint64_t key = cache.MakeKey(1, x, 1, 0.0f);
+        uint64_t key = cache.Key(1, cache.QueryDigest(x, 1), 0.0f);
         float v = 0.0f;
         if (!cache.Lookup(key, &v)) cache.Insert(key, x[0]);
       }
@@ -159,6 +167,47 @@ TEST(EstimateCacheTest, ConcurrentInsertLookupIsSafe) {
   for (auto& th : threads) th.join();
   EXPECT_LE(cache.size(), 256u);
   EXPECT_GT(cache.hits() + cache.misses(), 0u);
+}
+
+TEST(EstimateCacheTest, NonFiniteAndOutOfRangeValuesGetDistinctKeys) {
+  // llround has no int64 result for any of these; none may alias another.
+  EstimateCache cache;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float xs[] = {std::nanf(""), inf, -inf, 1e15f, -3e17f};
+  std::set<uint64_t> x_keys;
+  for (float v : xs) {
+    x_keys.insert(cache.Key(1, cache.QueryDigest(&v, 1), 0.5f));
+  }
+  EXPECT_EQ(x_keys.size(), 5u);
+  float x = 0.5f;
+  uint64_t digest = cache.QueryDigest(&x, 1);
+  EXPECT_NE(cache.Key(1, digest, 1e15f), cache.Key(1, digest, inf));
+  // NaN is canonicalized: every payload is the same query.
+  uint32_t other_nan_bits = 0x7fa00001u;
+  float other_nan;
+  std::memcpy(&other_nan, &other_nan_bits, sizeof(other_nan));
+  EXPECT_EQ(cache.QueryDigest(&xs[0], 1), cache.QueryDigest(&other_nan, 1));
+}
+
+TEST(EstimateCacheTest, KeysSpreadEvenlyOverShards) {
+  // ShardedLru picks a shard from key % shards; consecutive grid points must
+  // still land evenly, for scalar and curve keys alike.
+  EstimateCache cache;
+  const size_t shards = CacheConfig().shards;
+  const size_t n = 4096;
+  std::vector<size_t> scalar(shards, 0), curve(shards, 0);
+  float x[4] = {0.0f, 0.25f, 0.5f, 0.75f};
+  for (size_t i = 0; i < n; ++i) {
+    x[0] = float(i) * 1e-5f;
+    uint64_t digest = cache.QueryDigest(x, 4);
+    ++scalar[cache.Key(1, digest, 0.5f) % shards];
+    ++curve[cache.CurveKey(1, digest) % shards];
+  }
+  const size_t limit = 2 * n / shards;
+  for (size_t s = 0; s < shards; ++s) {
+    EXPECT_LE(scalar[s], limit) << "scalar shard " << s;
+    EXPECT_LE(curve[s], limit) << "curve shard " << s;
+  }
 }
 
 // --------------------------------------------------------------- registry ---
@@ -881,6 +930,42 @@ TEST_F(ServeFixture, FullyCachedSweepResolvesWithoutModelWork) {
   for (size_t i = 0; i < ts.size(); ++i) {
     EXPECT_EQ(first.estimates[i], second.estimates[i]);
   }
+}
+
+uint32_t Bits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST_F(ServeFixture, FastPathSweepInsertsHitLaterPointRequest) {
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
+  server.Publish(model_);
+  std::vector<float> ts;
+  for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
+  const float* q = wl_.queries.row(7);
+  EstimateResponse sweep =
+      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+  ASSERT_TRUE(sweep.fast_path);
+  EstimateResponse point =
+      server.Submit(EstimateRequest::Point(q, 6, ts[3])).get();
+  EXPECT_EQ(point.cache_hits, 1u);
+  EXPECT_EQ(Bits(point.estimates[0]), Bits(sweep.estimates[3]));
+}
+
+TEST_F(ServeFixture, ScheduledPointInsertIsHitByLaterSweep) {
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
+  server.Publish(model_);
+  const float* q = wl_.queries.row(8);
+  const float t = 0.5f * wl_.tmax;
+  EstimateResponse point = server.Submit(EstimateRequest::Point(q, 6, t)).get();
+  ASSERT_EQ(point.cache_hits, 0u);
+  ASSERT_GT(server.stats().Snapshot().batches, 0u);  // Via PredictOnHandle.
+  std::vector<float> ts = {0.25f * wl_.tmax, t, 0.75f * wl_.tmax};
+  EstimateResponse sweep =
+      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+  EXPECT_EQ(sweep.cache_hits, 1u);
+  EXPECT_EQ(Bits(sweep.estimates[1]), Bits(point.estimates[0]));
 }
 
 TEST_F(ServeFixture, MalformedRequestFailsFutureNotServer) {
