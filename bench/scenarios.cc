@@ -91,6 +91,7 @@
 #include "serve/trace.h"
 #include "serve/update_pipeline.h"
 #include "serve/wire.h"
+#include "tests/serve_await.h"
 #include "util/backoff.h"
 #include "util/metrics.h"
 #include "util/net.h"
@@ -102,8 +103,8 @@ using namespace selnet;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using SubmitFn = std::function<void(serve::EstimateRequest,
-                                    serve::SelNetServer::ResponseFn)>;
+using RequestSink = std::function<void(serve::EstimateRequest,
+                                       serve::SelNetServer::ResponseFn)>;
 
 // ------------------------------------------------------------------ gates ---
 
@@ -195,7 +196,7 @@ struct LoadResult {
 /// not the server's overload behavior (this matters on 1-core CI boxes;
 /// with spare cores the nice level is irrelevant).
 LoadResult DriveOpenLoop(
-    const SubmitFn& submit, const data::Workload& wl, double seconds,
+    const RequestSink& submit, const data::Workload& wl, double seconds,
     const std::function<double(double)>& rate_at, double deadline_ms,
     const std::function<std::string(util::Rng&)>& route_of, uint64_t seed) {
   struct Shared {
@@ -296,7 +297,7 @@ LoadResult DriveOpenLoop(
 /// Closed-loop capacity probe: `clients` threads keep `pipeline` requests in
 /// flight each; the sustained completion rate is what "capacity" means for
 /// every over-capacity multiplier below.
-double MeasureCapacityQps(const SubmitFn& submit, const data::Workload& wl,
+double MeasureCapacityQps(const RequestSink& submit, const data::Workload& wl,
                           size_t total, size_t clients, size_t pipeline) {
   std::atomic<size_t> remaining{total};
   const int64_t max_qi = int64_t(wl.queries.rows()) - 1;
@@ -401,7 +402,7 @@ Report RunBurst(const ScenarioContext& ctx) {
   // itself is never shed.
   serve::SelNetServer probe(BaseServerConfig(ctx.db->dim()));
   probe.Publish(ctx.model);
-  SubmitFn probe_submit = [&probe](serve::EstimateRequest req,
+  RequestSink probe_submit = [&probe](serve::EstimateRequest req,
                                    serve::SelNetServer::ResponseFn done) {
     probe.SubmitWith(std::move(req), std::move(done));
   };
@@ -414,7 +415,7 @@ Report RunBurst(const ScenarioContext& ctx) {
   scfg.admission.max_inflight = InflightForCapacity(capacity, 0.25);
   serve::SelNetServer server(scfg);
   server.Publish(ctx.model);
-  SubmitFn submit = [&server](serve::EstimateRequest req,
+  RequestSink submit = [&server](serve::EstimateRequest req,
                               serve::SelNetServer::ResponseFn done) {
     server.SubmitWith(std::move(req), std::move(done));
   };
@@ -553,7 +554,7 @@ Report RunSkew(const ScenarioContext& ctx) {
   };
 
   auto probe = make_ring(false, 0);
-  SubmitFn probe_submit = [&](serve::EstimateRequest req,
+  RequestSink probe_submit = [&](serve::EstimateRequest req,
                               serve::SelNetServer::ResponseFn done) {
     probe->SubmitWith(std::move(req), std::move(done));
   };
@@ -569,7 +570,7 @@ Report RunSkew(const ScenarioContext& ctx) {
   probe.reset();
 
   auto ring = make_ring(true, InflightForCapacity(capacity / kShards, 0.25));
-  SubmitFn submit = [&](serve::EstimateRequest req,
+  RequestSink submit = [&](serve::EstimateRequest req,
                         serve::SelNetServer::ResponseFn done) {
     ring->SubmitWith(std::move(req), std::move(done));
   };
@@ -645,7 +646,7 @@ Report RunDrift(const ScenarioContext& ctx) {
   scfg.admission.max_inflight = InflightForCapacity(capacity, 0.25);
   serve::SelNetServer server(scfg);
   server.Publish(ctx.model);
-  SubmitFn submit = [&server](serve::EstimateRequest req,
+  RequestSink submit = [&server](serve::EstimateRequest req,
                               serve::SelNetServer::ResponseFn done) {
     server.SubmitWith(std::move(req), std::move(done));
   };
@@ -789,8 +790,9 @@ Report RunChurn(const ScenarioContext& ctx) {
     while (connected && Clock::now() < end) {
       size_t qi = size_t(rng.UniformInt(0, int64_t(wl.queries.rows()) - 1));
       float thr = wl.tmax * float(rng.UniformInt(1, 16)) / 16.0f;
-      util::Result<serve::EstimateResponse> resp = stable.Roundtrip(
-          serve::EstimateRequest::Point(wl.queries.row(qi), dim, thr));
+      util::Result<serve::ClientReply> resp = stable.Call(
+          {serve::Command::kEstimate,
+           serve::EstimateRequest::Point(wl.queries.row(qi), dim, thr)});
       if (resp.ok()) {
         ++stable_ok;
       } else if (resp.status().code() == util::StatusCode::kUnavailable ||
@@ -812,9 +814,10 @@ Report RunChurn(const ScenarioContext& ctx) {
     serve::NetClient post;
     if (post.Connect("127.0.0.1", port).ok()) {
       post.set_recv_timeout_ms(2000);
-      util::Result<serve::EstimateResponse> resp = post.Roundtrip(
-          serve::EstimateRequest::Point(wl.queries.row(0), dim,
-                                        0.5f * wl.tmax));
+      util::Result<serve::ClientReply> resp = post.Call(
+          {serve::Command::kEstimate,
+           serve::EstimateRequest::Point(wl.queries.row(0), dim,
+                                         0.5f * wl.tmax)});
       alive = resp.ok() ? 1.0 : 0.0;
     }
     post.Close();
@@ -981,8 +984,8 @@ FaultTraffic DriveFaultTraffic(serve::ShardedRegistry* reg,
       size_t qi = size_t(rng.UniformInt(0, max_qi));
       float thr = wl.tmax * float(rng.UniformInt(1, 16)) / 16.0f;
       batch.emplace_back(
-          reg->Submit(serve::EstimateRequest::Point(wl.queries.row(qi), dim,
-                                                    thr, route)),
+          serve::SubmitAsync(*reg, serve::EstimateRequest::Point(
+                                       wl.queries.row(qi), dim, thr, route)),
           Clock::now());
     }
     for (auto& [fut, t0] : batch) {
@@ -1076,7 +1079,7 @@ Report RunFault(const ScenarioContext& ctx) {
   bool reference_ok = true;
   for (const auto& p : probes) {
     try {
-      reference.push_back(reg->Submit(p).get().estimates.at(0));
+      reference.push_back(serve::Await(*reg, p).estimates.at(0));
     } catch (const std::exception& e) {
       std::printf("  reference probe failed: %s\n", e.what());
       reference_ok = false;
@@ -1133,10 +1136,10 @@ Report RunFault(const ScenarioContext& ctx) {
     if (direct.Connect("127.0.0.1", reborn.port).ok()) {
       direct.set_recv_timeout_ms(2000);
       for (size_t i = 0; i < probes.size() && i < reference.size(); ++i) {
-        util::Result<serve::EstimateResponse> resp =
-            direct.Roundtrip(probes[i]);
-        if (resp.ok() && resp.ValueOrDie().estimates.size() == 1 &&
-            resp.ValueOrDie().estimates[0] == reference[i]) {
+        util::Result<serve::ClientReply> resp =
+            direct.Call({serve::Command::kEstimate, probes[i]});
+        if (resp.ok() && resp.ValueOrDie().estimate.estimates.size() == 1 &&
+            resp.ValueOrDie().estimate.estimates[0] == reference[i]) {
           ++identical;
         }
       }
@@ -1289,7 +1292,7 @@ Report RunMetrics(const ScenarioContext& ctx) {
         wl.queries.row(qi), dim, thr, (i % 2) ? remote_route : local_route);
     if (i % 4 == 0) req.trace = std::make_shared<serve::RequestTrace>();
     try {
-      reg->Submit(std::move(req)).get();
+      serve::Await(*reg, std::move(req));
       ++served;
     } catch (const std::exception&) {
       ++failed;
@@ -1311,9 +1314,9 @@ Report RunMetrics(const ScenarioContext& ctx) {
   } else {
     serve::NetClient client;
     if (client.Connect("127.0.0.1", frontend.port()).ok()) {
-      auto text = client.Metrics(1);
+      auto text = client.Call({serve::Command::kMetrics, {}, {"metrics", 1}});
       if (text.ok()) {
-        const std::string& expo = text.ValueOrDie();
+        const std::string& expo = text.ValueOrDie().text;
         expo_bytes = double(expo.size());
         util::Status lint = util::LintExposition(expo);
         lint_ok = lint.ok() ? 1.0 : 0.0;
@@ -1334,9 +1337,9 @@ Report RunMetrics(const ScenarioContext& ctx) {
         std::printf("  metrics fetch failed: %s\n",
                     text.status().ToString().c_str());
       }
-      auto events = client.Admin("events", 2);
-      events_ok = events.ok() && events.ValueOrDie().find("\"kind\":\"health\"") !=
-                                     std::string::npos
+      auto events = client.Call({serve::Command::kEvents, {}, {"events", 2}});
+      events_ok = events.ok() && events.ValueOrDie().body.find(
+                                     "\"kind\":\"health\"") != std::string::npos
                       ? 1.0
                       : 0.0;
     }
@@ -1344,10 +1347,12 @@ Report RunMetrics(const ScenarioContext& ctx) {
     // valid page too, or fleet dashboards only ever see the coordinator.
     serve::NetClient node_client;
     if (node_client.Connect("127.0.0.1", node.port).ok()) {
-      auto ntext = node_client.Metrics(3);
+      auto ntext =
+          node_client.Call({serve::Command::kMetrics, {}, {"metrics", 3}});
       node_lint_ok =
-          ntext.ok() && util::LintExposition(ntext.ValueOrDie()).ok() ? 1.0
-                                                                      : 0.0;
+          ntext.ok() && util::LintExposition(ntext.ValueOrDie().text).ok()
+              ? 1.0
+              : 0.0;
     }
   }
   serve::StatsSnapshot snap = reg->AggregateSnapshot();

@@ -94,6 +94,7 @@
 #include "serve/wire.h"
 #include "tensor/kernel_dispatch.h"
 #include "tensor/pack_cache.h"
+#include "tests/serve_await.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -143,7 +144,20 @@ RunResult DriveLoad(serve::SelNetServer* server, const data::Workload& wl,
           }
           // Thresholds on a coarse grid so the hot set actually repeats.
           float t = wl.tmax * float(rng.UniformInt(1, 16)) / 16.0f;
-          in_flight.push_back(server->EstimateAsync(wl.queries.row(qi), t));
+          // One promise per request, resolved with the scalar estimate.
+          auto promise = std::make_shared<std::promise<float>>();
+          in_flight.push_back(promise->get_future());
+          server->SubmitWith(
+              serve::EstimateRequest::Point(wl.queries.row(qi),
+                                            wl.queries.cols(), t),
+              [promise](serve::EstimateResponse&& resp,
+                        std::exception_ptr error) {
+                if (error) {
+                  promise->set_exception(error);
+                } else {
+                  promise->set_value(resp.estimates[0]);
+                }
+              });
           ++batch;
         }
         for (auto& f : in_flight) f.get();
@@ -201,7 +215,7 @@ double DriveShardLoad(serve::ShardedRegistry* reg, const data::Workload& wl,
           if (trace_every != 0 && ++sent % trace_every == 0) {
             req.trace = std::make_shared<serve::RequestTrace>();
           }
-          in_flight.push_back(reg->Submit(std::move(req)));
+          in_flight.push_back(serve::SubmitAsync(*reg, std::move(req)));
           ++batch;
         }
         for (auto& f : in_flight) f.get();
@@ -328,7 +342,8 @@ int main(int argc, char** argv) {
   util::Stopwatch scalar_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
     for (size_t i = 0; i < kThresholds; ++i) {
-      scalar_server->Estimate(query_for(s), ts[i]).ValueOrDie();
+      serve::Await(*scalar_server, serve::EstimateRequest::Point(
+                                       query_for(s), db.dim(), ts[i]));
     }
   }
   double scalar_us = scalar_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
@@ -336,9 +351,8 @@ int main(int argc, char** argv) {
   auto fallback_server = make_sweep_server(false);
   util::Stopwatch fallback_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
-    fallback_server->Submit(serve::EstimateRequest::Sweep(query_for(s),
-                                                          db.dim(), ts))
-        .get();
+    serve::Await(*fallback_server,
+                 serve::EstimateRequest::Sweep(query_for(s), db.dim(), ts));
   }
   double fallback_us =
       fallback_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
@@ -346,9 +360,8 @@ int main(int argc, char** argv) {
   auto fast_server = make_sweep_server(true);
   util::Stopwatch fast_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
-    fast_server->Submit(serve::EstimateRequest::Sweep(query_for(s), db.dim(),
-                                                      ts))
-        .get();
+    serve::Await(*fast_server,
+                 serve::EstimateRequest::Sweep(query_for(s), db.dim(), ts));
   }
   double fast_us = fast_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
 
@@ -623,9 +636,11 @@ int main(int argc, char** argv) {
             size_t qi =
                 size_t(rng.UniformInt(0, int64_t(wl.queries.rows()) - 1));
             float t = wl.tmax * float(rng.UniformInt(1, 16)) / 16.0f;
-            auto resp = client.Roundtrip(serve::EstimateRequest::Point(
-                wl.queries.row(qi), db.dim(), t,
-                routes[(c + i) % routes.size()]));
+            auto resp = client.Call(
+                {serve::Command::kEstimate,
+                 serve::EstimateRequest::Point(
+                     wl.queries.row(qi), db.dim(), t,
+                     routes[(c + i) % routes.size()])});
             if (resp.ok()) completed.fetch_add(1);
           }
         });

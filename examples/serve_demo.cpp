@@ -107,6 +107,24 @@ DemoWorld BuildWorld() {
 std::atomic<bool> g_interrupted{false};
 void OnSigInt(int) { g_interrupted.store(true); }
 
+/// Submit one request through the server's entry point, SubmitWith, and wait
+/// for its answer — the walkthrough reads each result before moving on.
+/// Throws the request's error (unknown route, overload shed...).
+serve::EstimateResponse Ask(serve::SelNetServer& server,
+                            serve::EstimateRequest req) {
+  auto answer = std::make_shared<std::promise<serve::EstimateResponse>>();
+  std::future<serve::EstimateResponse> result = answer->get_future();
+  server.SubmitWith(std::move(req), [answer](serve::EstimateResponse&& resp,
+                                             std::exception_ptr error) {
+    if (error) {
+      answer->set_exception(error);
+    } else {
+      answer->set_value(std::move(resp));
+    }
+  });
+  return result.get();
+}
+
 /// `serve_demo server [port]`: 2-shard fleet + JSON-over-TCP frontend.
 int RunServer(uint16_t port) {
   std::printf("training demo models...\n");
@@ -192,36 +210,38 @@ int RunClient(const std::string& host, uint16_t port) {
     serve::EstimateRequest scalar =
         serve::EstimateRequest::Point(x.data(), x.size(), 1.0f, route);
     scalar.tag = 1;
-    auto resp = client.Roundtrip(scalar);
+    auto resp = client.Call({serve::Command::kEstimate, scalar});
     if (!resp.ok()) {
       std::printf("[%s] scalar failed: %s\n", route.c_str(),
                   resp.status().ToString().c_str());
       continue;
     }
+    const serve::EstimateResponse& point = resp.ValueOrDie().estimate;
     std::printf("[%s] estimate(x, t=1.0) = %.2f (v%llu)\n", route.c_str(),
-                resp.ValueOrDie().estimates[0],
-                (unsigned long long)resp.ValueOrDie().version);
+                point.estimates[0], (unsigned long long)point.version);
 
     std::vector<float> ts;
     for (int i = 1; i <= 8; ++i) ts.push_back(0.5f * float(i));
     serve::EstimateRequest sweep =
         serve::EstimateRequest::Sweep(x.data(), x.size(), ts, route);
     sweep.tag = 2;
-    auto sresp = client.Roundtrip(sweep);
+    auto sresp = client.Call({serve::Command::kEstimate, sweep});
     if (!sresp.ok()) {
       std::printf("[%s] sweep failed: %s\n", route.c_str(),
                   sresp.status().ToString().c_str());
       continue;
     }
+    const serve::EstimateResponse& curve = sresp.ValueOrDie().estimate;
     std::printf("[%s] sweep (fast_path=%d):", route.c_str(),
-                int(sresp.ValueOrDie().fast_path));
-    for (float v : sresp.ValueOrDie().estimates) std::printf(" %.1f", v);
+                int(curve.fast_path));
+    for (float v : curve.estimates) std::printf(" %.1f", v);
     std::printf("\n");
   }
   // The admin plane rides the same connection: fleet stats as one JSON line.
-  auto stats = client.Admin("stats");
+  auto stats = client.Call({serve::Command::kStats});
   if (stats.ok()) {
-    std::printf("\n{\"cmd\":\"stats\"} -> %s\n", stats.ValueOrDie().c_str());
+    std::printf("\n{\"cmd\":\"stats\"} -> %s\n",
+                stats.ValueOrDie().body.c_str());
   }
   return 0;
 }
@@ -236,15 +256,15 @@ int RunMetrics(const std::string& host, uint16_t port) {
     return 1;
   }
   client.set_recv_timeout_ms(5000);
-  auto text = client.Metrics();
-  if (!text.ok()) {
-    std::printf("metrics failed: %s\n", text.status().ToString().c_str());
+  auto metrics = client.Call({serve::Command::kMetrics});
+  if (!metrics.ok()) {
+    std::printf("metrics failed: %s\n", metrics.status().ToString().c_str());
     return 1;
   }
-  std::fputs(text.ValueOrDie().c_str(), stdout);
-  auto events = client.Admin("events");
+  std::fputs(metrics.ValueOrDie().text.c_str(), stdout);
+  auto events = client.Call({serve::Command::kEvents});
   if (events.ok()) {
-    std::printf("\n# events\n%s\n", events.ValueOrDie().c_str());
+    std::printf("\n# events\n%s\n", events.ValueOrDie().body.c_str());
   }
   return 0;
 }
@@ -333,9 +353,8 @@ int main(int argc, char** argv) {
   std::vector<float> ts;
   for (int i = 1; i <= 8; ++i) ts.push_back(wl.tmax * float(i) / 8.0f);
   serve::EstimateResponse sweep =
-      server.Submit(serve::EstimateRequest::Sweep(wl.queries.row(0), db.dim(),
-                                                  ts))
-          .get();
+      Ask(server,
+          serve::EstimateRequest::Sweep(wl.queries.row(0), db.dim(), ts));
   std::printf("\nthreshold sweep (query 0, fast_path=%d):\n%8s %12s\n",
               int(sweep.fast_path), "t", "estimate");
   for (size_t i = 0; i < ts.size(); ++i) {
@@ -349,10 +368,9 @@ int main(int argc, char** argv) {
   auto kde = std::make_shared<bl::KdeEstimator>(kcfg);
   kde->Fit(ctx);
   server.Publish("kde", kde);
-  serve::EstimateResponse kde_sweep =
-      server.Submit(serve::EstimateRequest::Sweep(wl.queries.row(0), db.dim(),
-                                                  ts, "kde"))
-          .get();
+  serve::EstimateResponse kde_sweep = Ask(
+      server,
+      serve::EstimateRequest::Sweep(wl.queries.row(0), db.dim(), ts, "kde"));
   std::printf("\nA/B sweep (query 0): %12s %12s\n", "SelNet", "KDE");
   for (size_t i = 0; i < ts.size(); ++i) {
     std::printf("t=%6.3f %12.1f %12.1f\n", ts[i], sweep.estimates[i],
@@ -384,8 +402,13 @@ int main(int argc, char** argv) {
       while (!stop.load()) {
         size_t qi = size_t(rng.UniformInt(0, int64_t(wl.queries.rows()) - 1));
         float t = wl.tmax * float(rng.Uniform());
-        auto est = server.Estimate(wl.queries.row(qi), t);
-        (est.ok() ? ok_count : fail_count).fetch_add(1);
+        try {
+          Ask(server,
+              serve::EstimateRequest::Point(wl.queries.row(qi), db.dim(), t));
+          ok_count.fetch_add(1);
+        } catch (const std::exception&) {
+          fail_count.fetch_add(1);
+        }
       }
     });
   }

@@ -10,11 +10,9 @@
 
 namespace selnet::serve {
 
-BatchScheduler::BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn,
-                               CompletionFn on_complete)
+BatchScheduler::BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn)
     : cfg_(cfg),
       batch_fn_(std::move(batch_fn)),
-      on_complete_(std::move(on_complete)),
       pool_(cfg.pool != nullptr ? cfg.pool : &util::ThreadPool::Global()) {
   SEL_CHECK(cfg_.dim > 0);
   SEL_CHECK(cfg_.max_batch > 0);
@@ -24,42 +22,12 @@ BatchScheduler::BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn,
 
 BatchScheduler::~BatchScheduler() { Shutdown(); }
 
-void BatchScheduler::SubmitRow(std::string model, const float* x, float t,
-                               RowDoneFn done,
-                               std::chrono::steady_clock::time_point deadline) {
-  SEL_CHECK(done != nullptr);
-  Row row;
-  row.model = std::move(model);
-  row.x.assign(x, x + cfg_.dim);
-  row.t = t;
-  row.done = std::move(done);
-  row.enqueued = std::chrono::steady_clock::now();
-  row.deadline = deadline;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) {
-    lock.unlock();
-    row.done(0.0f,
-             std::make_exception_ptr(OverloadError(
-                 ShedReason::kShutdown, "BatchScheduler is shut down")),
-             RowTiming{});
-    return;
-  }
-  pending_.push_back(std::move(row));
-  if (pending_.size() >= cfg_.max_batch) {
-    DispatchLocked(&lock);
-  } else if (pending_.size() == 1) {
-    // Only the empty->non-empty transition needs to arm the flusher's delay
-    // timer; waking it per row would cost a futex wake on the hot path.
-    work_cv_.notify_one();
-  }
-}
-
 void BatchScheduler::SubmitRows(std::vector<Row> rows) {
   if (rows.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   for (Row& row : rows) {
     SEL_CHECK(row.done != nullptr);
+    SEL_CHECK_EQ(row.x.size(), cfg_.dim);
     row.enqueued = now;
   }
   std::unique_lock<std::mutex> lock(mu_);
@@ -70,47 +38,31 @@ void BatchScheduler::SubmitRows(std::vector<Row> rows) {
     for (Row& row : rows) row.done(0.0f, err, RowTiming{});
     return;
   }
-  const bool was_empty = pending_.empty();
+  // Only an empty->non-empty transition needs to arm the flusher's delay
+  // timer (waking it per row would cost a futex wake on the hot path). An
+  // inline flush below empties the queue, and the flusher may see it empty
+  // during the handoff and go back to sleep, so any push can be one.
+  bool arm_flusher = false;
   std::vector<Row> rejected;
   for (Row& row : rows) {
     // DispatchLocked drops the lock around the pool handoff, so Shutdown can
-    // slip in mid-call: re-check and fail the remainder like SubmitRow would.
+    // slip in mid-call: re-check and fail the remainder.
     if (stop_) {
       rejected.push_back(std::move(row));
       continue;
     }
+    arm_flusher |= pending_.empty();
     pending_.push_back(std::move(row));
     if (pending_.size() >= cfg_.max_batch) DispatchLocked(&lock);
   }
-  // One wake at most, and only on the empty->non-empty transition — the same
-  // delay-timer arming rule as SubmitRow.
-  if (was_empty && !pending_.empty()) work_cv_.notify_one();
+  // One wake at most per call.
+  if (arm_flusher && !pending_.empty()) work_cv_.notify_one();
   lock.unlock();
   if (!rejected.empty()) {
     auto err = std::make_exception_ptr(
         OverloadError(ShedReason::kShutdown, "BatchScheduler is shut down"));
     for (Row& row : rejected) row.done(0.0f, err, RowTiming{});
   }
-}
-
-std::future<float> BatchScheduler::Submit(const float* x, float t,
-                                          uint64_t tag, std::string model) {
-  auto promise = std::make_shared<std::promise<float>>();
-  std::future<float> result = promise->get_future();
-  // `this` stays valid for the callback's lifetime: rows only complete while
-  // a flush is in flight, and Shutdown() (run by the destructor) waits for
-  // in-flight flushes to drain.
-  SubmitRow(std::move(model), x, t,
-            [this, promise, tag](float value, std::exception_ptr error,
-                                 const RowTiming& timing) {
-              if (error) {
-                promise->set_exception(error);
-                return;
-              }
-              if (on_complete_) on_complete_(tag, value, timing.latency_ms);
-              promise->set_value(value);
-            });
-  return result;
 }
 
 void BatchScheduler::DispatchLocked(std::unique_lock<std::mutex>* lock) {
@@ -229,7 +181,7 @@ void BatchScheduler::FlusherLoop() {
     work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
     if (stop_ && pending_.empty()) return;
     // Oldest row sets the deadline; flush when it expires or the batch fills
-    // (SubmitRow dispatches full batches itself, so waking with an empty
+    // (SubmitRows dispatches full batches itself, so waking with an empty
     // queue just loops back to waiting).
     auto deadline = pending_.front().enqueued +
                     std::chrono::duration_cast<

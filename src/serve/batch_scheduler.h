@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -34,11 +33,9 @@
 /// per call, which is what makes hot-swap work: a republished model takes
 /// effect at the next batch boundary without failing in-flight rows.
 ///
-/// Two submission styles:
-///  * `SubmitRow` hands each row a completion callback — the server's
-///    request-object path uses this to aggregate K rows of one
-///    EstimateRequest without one promise per row;
-///  * `Submit` is the future-returning compatibility wrapper on top of it.
+/// One entry point, `SubmitRows`: the producer builds Rows, each with its own
+/// completion callback (the server aggregates the K rows of one
+/// EstimateRequest through them), and hands them over under one lock.
 ///
 /// Deadlines: a row may carry a steady-clock deadline. At the batch
 /// boundary — the `compute_start` timestamp that also splits queue vs
@@ -85,19 +82,12 @@ class BatchScheduler {
   /// plus the row's split timing. Invoked from a pool worker.
   using RowDoneFn = std::function<void(float value, std::exception_ptr error,
                                        const RowTiming& timing)>;
-  /// Observer invoked once per future-based request after its batch
-  /// completes, with the request's tag, computed estimate, and latency
-  /// (used for stats; cache fill happens inside the batch fn where the model
-  /// version is known).
-  using CompletionFn =
-      std::function<void(uint64_t tag, float value, double latency_ms)>;
 
-  /// One buffered row. Public so a batched producer (SelNetServer::
-  /// SubmitMany decoding a whole read round of wire frames) can build rows
-  /// up front and hand them over in one SubmitRows call.
+  /// One buffered row: a query routed to `model`, one threshold, and the
+  /// completion that receives its estimate.
   struct Row {
     std::string model;
-    std::vector<float> x;
+    std::vector<float> x;  ///< Exactly SchedulerConfig::dim floats.
     float t = 0.0f;
     RowDoneFn done;
     std::chrono::steady_clock::time_point enqueued;
@@ -105,33 +95,21 @@ class BatchScheduler {
     std::chrono::steady_clock::time_point deadline{};
   };
 
-  BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn,
-                 CompletionFn on_complete = nullptr);
+  BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn);
   ~BatchScheduler();
 
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  /// \brief Enqueue one row routed to `model`; `done` fires when its batch
-  /// runs (immediately, with an error, if the scheduler is shut down). `x`
-  /// must point at `dim` floats (copied before returning). A non-default
-  /// `deadline` marks the row droppable: expired at the batch boundary ->
-  /// completed with OverloadError(kDeadlineExpired) instead of predicted.
-  void SubmitRow(std::string model, const float* x, float t, RowDoneFn done,
-                 std::chrono::steady_clock::time_point deadline = {});
-
-  /// \brief Enqueue many rows under ONE lock acquisition: the batched-decode
-  /// path's amortization (a frontend read round that decoded N frames pays
-  /// one mutex + at most one flusher wake instead of N of each). Each row's
-  /// `done` must be set; `enqueued` is stamped here with a single shared
-  /// clock sample. Full batches dispatch inline, exactly as if the rows had
-  /// arrived through SubmitRow one at a time.
+  /// \brief Enqueue rows under ONE lock acquisition (a frontend read round
+  /// that decoded N requests pays one mutex + at most one flusher wake).
+  /// Each row's `done` must be set and fires when its batch runs
+  /// (immediately, with a typed kShutdown error, if the scheduler is shut
+  /// down); `enqueued` is stamped here with a single shared clock sample.
+  /// Full batches dispatch inline. A non-default `deadline` marks a row
+  /// droppable: expired at the batch boundary -> completed with
+  /// OverloadError(kDeadlineExpired) instead of predicted.
   void SubmitRows(std::vector<Row> rows);
-
-  /// \brief Future-returning wrapper over SubmitRow. `tag` is passed through
-  /// to the completion observer.
-  std::future<float> Submit(const float* x, float t, uint64_t tag = 0,
-                            std::string model = "");
 
   /// \brief Block until every row submitted so far has been answered.
   void Drain();
@@ -163,7 +141,6 @@ class BatchScheduler {
 
   SchedulerConfig cfg_;
   BatchFn batch_fn_;
-  CompletionFn on_complete_;
   util::ThreadPool* pool_;
 
   std::mutex mu_;

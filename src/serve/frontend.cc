@@ -79,17 +79,12 @@ struct NetFrontend::Conn {
   TransferAssembler xfer;
 };
 
-namespace {
-
-/// The delegating constructors build the whole Backend BEFORE the real
-/// constructor starts the loop threads — assigning hooks after delegation
-/// would race the already-running loops.
-NetFrontend::Backend ServerBackend(SelNetServer* server) {
-  NetFrontend::Backend b;
-  b.submit = [server](EstimateRequest req, SelNetServer::ResponseFn done) {
-    server->SubmitWith(std::move(req), std::move(done));
-  };
-  b.submit_many = [server](std::vector<SelNetServer::Submission> batch) {
+// The delegating constructors build the whole Backend BEFORE the real
+// constructor starts the loop threads — assigning hooks after delegation
+// would race the already-running loops.
+NetFrontend::Backend NetFrontend::BackendFor(SelNetServer* server) {
+  Backend b;
+  b.submit = [server](std::vector<SelNetServer::Submission> batch) {
     server->SubmitMany(std::move(batch));
   };
   b.snapshot = [server] { return server->stats().Snapshot(); };
@@ -101,16 +96,12 @@ NetFrontend::Backend ServerBackend(SelNetServer* server) {
   return b;
 }
 
-NetFrontend::Backend SubmitOnlyBackend(NetFrontend::SubmitFn submit) {
-  NetFrontend::Backend b;
-  b.submit = std::move(submit);
-  return b;
-}
-
-NetFrontend::Backend RegistryBackend(ShardedRegistry* registry) {
-  NetFrontend::Backend b;
-  b.submit = [registry](EstimateRequest req, SelNetServer::ResponseFn done) {
-    registry->SubmitWith(std::move(req), std::move(done));
+NetFrontend::Backend NetFrontend::BackendFor(ShardedRegistry* registry) {
+  Backend b;
+  b.submit = [registry](std::vector<SelNetServer::Submission> batch) {
+    for (SelNetServer::Submission& s : batch) {
+      registry->SubmitWith(std::move(s.req), std::move(s.done));
+    }
   };
   b.snapshot = [registry] { return registry->AggregateSnapshot(); };
   b.slow = [registry] { return registry->SlowSpans(); };
@@ -124,16 +115,11 @@ NetFrontend::Backend RegistryBackend(ShardedRegistry* registry) {
   return b;
 }
 
-}  // namespace
-
 NetFrontend::NetFrontend(const FrontendConfig& cfg, SelNetServer* server)
-    : NetFrontend(cfg, ServerBackend(server)) {}
+    : NetFrontend(cfg, BackendFor(server)) {}
 
 NetFrontend::NetFrontend(const FrontendConfig& cfg, ShardedRegistry* registry)
-    : NetFrontend(cfg, RegistryBackend(registry)) {}
-
-NetFrontend::NetFrontend(const FrontendConfig& cfg, SubmitFn submit)
-    : NetFrontend(cfg, SubmitOnlyBackend(std::move(submit))) {}
+    : NetFrontend(cfg, BackendFor(registry)) {}
 
 NetFrontend::NetFrontend(const FrontendConfig& cfg, Backend backend)
     : cfg_(cfg), backend_(std::move(backend)),
@@ -351,16 +337,6 @@ std::string NetFrontend::AdminReplyFor(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void NetFrontend::HandleAdmin(const std::shared_ptr<Conn>& conn,
-                              const std::string& line) {
-  std::string reply = AdminReplyFor(conn, line);
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (!conn->closed) {
-    conn->wbuf += reply;
-    conn->wbuf += '\n';
-  }
-}
-
 std::string NetFrontend::DispatchAdmin(const std::shared_ptr<Conn>& conn,
                                        const AdminRequest& admin) {
   const CommandInfo* info = FindCommand(admin.cmd);
@@ -434,7 +410,7 @@ std::string NetFrontend::DispatchAdmin(const std::shared_ptr<Conn>& conn,
     }
     case Command::kMetrics: {
       // The multi-line exposition text travels as ONE JSON string value;
-      // JsonQuote escapes the newlines and NetClient::Metrics restores them.
+      // JsonQuote escapes the newlines and NetClient::Call restores them.
       JsonWriter w;
       w.Field("metrics", MetricsText());
       if (admin.tag != 0) w.Field("tag", admin.tag);
@@ -603,9 +579,18 @@ SelNetServer::ResponseFn NetFrontend::MakeCompletion(
   };
 }
 
-void NetFrontend::SubmitLine(LoopState* loop,
+std::shared_ptr<RequestTrace> NetFrontend::SampleTrace(LoopState* loop) {
+  if (backend_.trace_sample_every > 0 &&
+      loop->trace_seq++ % backend_.trace_sample_every == 0) {
+    return std::make_shared<RequestTrace>();
+  }
+  return nullptr;
+}
+
+void NetFrontend::DecodeLine(LoopState* loop,
                              const std::shared_ptr<Conn>& conn,
-                             std::string line) {
+                             std::string line,
+                             std::vector<SelNetServer::Submission>* batch) {
   // Tolerate CRLF and blank keep-alive lines.
   while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
     line.pop_back();
@@ -615,19 +600,20 @@ void NetFrontend::SubmitLine(LoopState* loop,
   // Admin plane: answered synchronously on the loop thread, off the estimate
   // path — a metrics scrape never queues behind a batch.
   if (LineLooksAdmin(line)) {
-    HandleAdmin(conn, line);
+    FlushBatch(batch);
+    std::string reply = AdminReplyFor(conn, line);
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (!conn->closed) {
+      conn->wbuf += reply;
+      conn->wbuf += '\n';
+    }
     return;
   }
 
   // Decode-stage sampling: the frontend decides BEFORE parsing so the parse
   // itself is on the span; the server honors an attached trace as-is.
-  std::shared_ptr<RequestTrace> trace;
-  if (backend_.trace_sample_every > 0 &&
-      loop->trace_seq++ % backend_.trace_sample_every == 0) {
-    trace = std::make_shared<RequestTrace>();
-  }
+  std::shared_ptr<RequestTrace> trace = SampleTrace(loop);
   const auto decode_start = std::chrono::steady_clock::now();
-
   EstimateRequest req;
   Status parsed = ParseRequestLine(line, &req);
   if (!parsed.ok()) {
@@ -641,49 +627,20 @@ void NetFrontend::SubmitLine(LoopState* loop,
     conn->wbuf += '\n';
     return;
   }
-
-  // A wire-requested trace ("trace":true) is honored regardless of the
-  // sampling counter: the caller — a coordinator propagating its own sampled
-  // span, or a debugging client — wants THIS request timed, and gets the
-  // span's stage block back in the response.
-  if (!trace && req.wire_trace) trace = std::make_shared<RequestTrace>();
-  if (trace) {
-    trace->Observe(Stage::kDecode,
-                   std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - decode_start)
-                       .count());
-    req.trace = std::move(trace);
-  }
-
-  uint64_t tag = req.tag;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    ++conn->inflight;
-  }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  auto traced = req.trace;
-  const bool wire_traced = req.wire_trace;
-  backend_.submit(std::move(req),
-                  MakeCompletion(conn, tag, WireProto::kJson,
-                                 std::move(traced), wire_traced));
+  Enqueue(conn, std::move(req), WireProto::kJson, std::move(trace),
+          decode_start, batch);
 }
 
-void NetFrontend::SubmitFrame(LoopState* loop,
+void NetFrontend::DecodeFrame(LoopState* loop,
                               const std::shared_ptr<Conn>& conn,
                               const FrameHeader& hdr, const char* payload,
                               std::chrono::steady_clock::time_point now,
                               std::vector<SelNetServer::Submission>* batch) {
-  std::shared_ptr<RequestTrace> trace;
-  if (backend_.trace_sample_every > 0 &&
-      loop->trace_seq++ % backend_.trace_sample_every == 0) {
-    trace = std::make_shared<RequestTrace>();
-  }
+  std::shared_ptr<RequestTrace> trace = SampleTrace(loop);
   // Untraced frames share the batch's one clock sample for deadline
   // anchoring; a traced frame pays for a fresh sample so its decode stage
   // is real.
   const auto decode_start = trace ? std::chrono::steady_clock::now() : now;
-
   EstimateRequest req;
   Status decoded = DecodeRequestPayload(payload, hdr.payload_len, now, &req);
   if (!decoded.ok()) {
@@ -698,39 +655,44 @@ void NetFrontend::SubmitFrame(LoopState* loop,
     return;
   }
   req.tag = hdr.tag;
+  Enqueue(conn, std::move(req), WireProto::kBinary, std::move(trace),
+          decode_start, batch);
+}
 
+void NetFrontend::Enqueue(const std::shared_ptr<Conn>& conn,
+                          EstimateRequest req, WireProto proto,
+                          std::shared_ptr<RequestTrace> trace,
+                          std::chrono::steady_clock::time_point decode_start,
+                          std::vector<SelNetServer::Submission>* batch) {
+  // A wire-requested trace ("trace":true) is honored regardless of the
+  // sampling counter: the caller — a coordinator propagating its own sampled
+  // span, or a debugging client — wants THIS request timed, and gets the
+  // span's stage block back in the response.
   if (!trace && req.wire_trace) trace = std::make_shared<RequestTrace>();
   if (trace) {
     trace->Observe(Stage::kDecode,
                    std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - decode_start)
                        .count());
-    req.trace = std::move(trace);
+    req.trace = trace;
   }
-
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     ++conn->inflight;
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-
-  auto traced = req.trace;
-  const bool wire_traced = req.wire_trace;
   const uint64_t tag = req.tag;
+  const bool wire_traced = req.wire_trace;
   SelNetServer::Submission s;
   s.req = std::move(req);
-  s.done = MakeCompletion(conn, tag, WireProto::kBinary, std::move(traced),
-                          wire_traced);
+  s.done = MakeCompletion(conn, tag, proto, std::move(trace), wire_traced);
   batch->push_back(std::move(s));
 }
 
-void NetFrontend::FlushBatch(std::vector<SelNetServer::Submission> batch) {
-  if (batch.empty()) return;
-  if (batch.size() > 1 && backend_.submit_many) {
-    backend_.submit_many(std::move(batch));
-    return;
-  }
-  for (auto& s : batch) backend_.submit(std::move(s.req), std::move(s.done));
+void NetFrontend::FlushBatch(std::vector<SelNetServer::Submission>* batch) {
+  if (batch->empty()) return;
+  backend_.submit(std::move(*batch));
+  batch->clear();
 }
 
 void NetFrontend::RejectOversized(const std::shared_ptr<Conn>& conn) {
@@ -787,6 +749,20 @@ bool NetFrontend::HandleReadable(LoopState* loop,
   }
 }
 
+bool NetFrontend::Stalled(const std::shared_ptr<Conn>& conn) {
+  // Leftover input stays in rbuf and is re-scanned once responses drain
+  // (the poll loop stops reading, TCP pushes back on the peer).
+  std::lock_guard<std::mutex> lock(conn->mu);
+  const bool capped =
+      conn->inflight >= cfg_.max_inflight_per_conn ||
+      conn->wbuf.size() - conn->wbuf_off >= cfg_.max_write_backlog_bytes;
+  if (capped && !conn->stalled) {
+    stalls_.fetch_add(1, std::memory_order_relaxed);
+  }
+  conn->stalled = capped;
+  return capped;
+}
+
 bool NetFrontend::ProcessJsonBuffer(LoopState* loop,
                                     const std::shared_ptr<Conn>& conn) {
   // A line that outgrew the cap without ever seeing its newline.
@@ -796,38 +772,25 @@ bool NetFrontend::ProcessJsonBuffer(LoopState* loop,
     return true;  // Keep the conn until the error reply is flushed.
   }
 
+  std::vector<SelNetServer::Submission> batch;
   size_t start = 0;
-  for (;;) {
-    // Honor the inflight cap mid-buffer: leftover lines stay in rbuf and are
-    // re-scanned once responses drain (the poll loop stops reading, TCP
-    // pushes back on the peer).
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->inflight >= cfg_.max_inflight_per_conn ||
-          conn->wbuf.size() - conn->wbuf_off >=
-              cfg_.max_write_backlog_bytes) {
-        if (!conn->stalled) {
-          conn->stalled = true;
-          stalls_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      conn->stalled = false;
-    }
+  while (!Stalled(conn)) {
     size_t nl = conn->rbuf.find('\n', start);
     if (nl == std::string::npos) break;
     if (nl - start > cfg_.max_line_bytes) {
       RejectOversized(conn);  // Clears rbuf; nothing left to erase below.
-      return true;
+      start = 0;
+      break;
     }
     std::string line = conn->rbuf.substr(start, nl - start);
     start = nl + 1;
-    SubmitLine(loop, conn, std::move(line));
+    DecodeLine(loop, conn, std::move(line), &batch);
     // A hello just switched this connection to binary frames; the caller
     // re-dispatches the remaining buffer.
     if (conn->proto != WireProto::kJson) break;
   }
   conn->rbuf.erase(0, start);
+  FlushBatch(&batch);
   return true;
 }
 
@@ -838,20 +801,7 @@ bool NetFrontend::ProcessBinaryBuffer(LoopState* loop,
   // pipelined frames costs one clock read, not one per request.
   const auto now = std::chrono::steady_clock::now();
   size_t start = 0;
-  while (conn->proto == WireProto::kBinary) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->inflight >= cfg_.max_inflight_per_conn ||
-          conn->wbuf.size() - conn->wbuf_off >=
-              cfg_.max_write_backlog_bytes) {
-        if (!conn->stalled) {
-          conn->stalled = true;
-          stalls_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      conn->stalled = false;
-    }
+  while (conn->proto == WireProto::kBinary && !Stalled(conn)) {
     FrameHeader hdr;
     std::string err;
     const FramePeel peel =
@@ -882,12 +832,13 @@ bool NetFrontend::ProcessBinaryBuffer(LoopState* loop,
     bool abort = false;
     switch (hdr.type) {
       case FrameType::kEstimate:
-        SubmitFrame(loop, conn, hdr, payload, now, &batch);
+        DecodeFrame(loop, conn, hdr, payload, now, &batch);
         break;
       case FrameType::kAdmin: {
         // The admin plane rides binary unchanged: the payload is exactly
         // one JSON admin line, the reply exactly one kAdminReply frame
         // (echoing the request frame's tag in the header).
+        FlushBatch(&batch);
         std::string line(payload, hdr.payload_len);
         std::string reply = AdminReplyFor(conn, line);
         std::lock_guard<std::mutex> lock(conn->mu);
@@ -921,7 +872,7 @@ bool NetFrontend::ProcessBinaryBuffer(LoopState* loop,
     start += total;
   }
   conn->rbuf.erase(0, start);
-  FlushBatch(std::move(batch));
+  FlushBatch(&batch);
   return true;
 }
 
@@ -1276,15 +1227,7 @@ Result<ClientReply> NetClient::Call(const ClientCall& call) {
     return reply;
   }
   if (call.cmd == Command::kHello) {
-    const WireProto preferred = call.admin.proto == "json"
-                                    ? WireProto::kJson
-                                    : WireProto::kBinary;
-    const uint8_t max_version = call.admin.max_version == 0
-                                    ? kWireVersion
-                                    : uint8_t(call.admin.max_version);
-    SEL_RETURN_NOT_OK(Hello(preferred, max_version));
-    reply.body = WireProtoName(proto_);
-    return reply;
+    return Status::Invalid("NetClient: negotiate framing with Hello()");
   }
   // Admin plane: serialize the registry command, round-trip it in the
   // negotiated framing, parse what structure the reply has.
@@ -1318,42 +1261,6 @@ Result<ClientReply> NetClient::Call(const ClientCall& call) {
       break;
   }
   return reply;
-}
-
-Result<std::string> NetClient::Admin(const std::string& cmd, uint64_t tag) {
-  // Raw surface: returns the reply line even when it is an error reply
-  // (failure-path tests assert on it), and passes unknown command names
-  // through untouched — only the framing is negotiated.
-  JsonWriter w;
-  w.Field("cmd", cmd);
-  if (tag != 0) w.Field("tag", tag);
-  return AdminRoundtrip(w.Finish(), tag);
-}
-
-Result<std::string> NetClient::Metrics(uint64_t tag) {
-  ClientCall call;
-  call.cmd = Command::kMetrics;
-  call.admin.tag = tag;
-  Result<ClientReply> r = Call(call);
-  if (!r.ok()) return r.status();
-  return std::move(r).ValueOrDie().text;
-}
-
-Result<StatsSnapshot> NetClient::StatsWire(uint64_t tag) {
-  ClientCall call;
-  call.cmd = Command::kStatsWire;
-  call.admin.tag = tag;
-  Result<ClientReply> r = Call(call);
-  if (!r.ok()) return r.status();
-  return std::move(r).ValueOrDie().stats;
-}
-
-Result<EstimateResponse> NetClient::Roundtrip(const EstimateRequest& req) {
-  ClientCall call;
-  call.estimate = req;
-  Result<ClientReply> r = Call(call);
-  if (!r.ok()) return r.status();
-  return std::move(r).ValueOrDie().estimate;
 }
 
 }  // namespace selnet::serve

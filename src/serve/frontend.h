@@ -40,9 +40,10 @@
 /// single-threaded frontend's. With more, either loop 0 accepts and deals
 /// connections round-robin to the others (the sharded-acceptor default) or,
 /// with `so_reuseport`, every loop owns its own SO_REUSEPORT listener and
-/// the kernel balances accepts. Binary estimate frames decoded in one read
-/// round are submitted as ONE SelNetServer::SubmitMany batch, so a
-/// pipelining client's burst pays one scheduler lock, not one per request.
+/// the kernel balances accepts. Estimates decoded in one read round — JSON
+/// lines and binary frames alike — reach the backend as ONE batch, so a
+/// pipelining client's burst pays one scheduler lock, not one per request;
+/// an admin command first flushes the estimates decoded before it.
 ///
 /// Backpressure, per connection: at most `max_inflight_per_conn` submitted
 /// requests may be unanswered at once. At the cap the loop simply stops
@@ -58,9 +59,9 @@
 ///     text), connection stays open;
 ///   * overload shed (admission rejection, expired deadline) -> structured
 ///     {"error":...,"code":<shed reason>} reply, connection stays open. The
-///     shard's admission check runs synchronously inside the submit hook on
-///     this loop thread, right after decode — a shed request never touches a
-///     scheduler queue or a pool worker;
+///     shard's admission check runs synchronously inside the backend submit
+///     on this loop thread, at the end of the read round — a shed request
+///     never touches a scheduler queue or a pool worker;
 ///   * request line longer than `max_line_bytes` -> error reply, connection
 ///     closed (a runaway writer, not a typo);
 ///   * client disconnect with responses in flight -> completions for that
@@ -125,56 +126,10 @@ struct FrontendStats {
 /// \brief Line-delimited JSON-over-TCP frontend for one serving backend.
 class NetFrontend {
  public:
-  /// Type-erased submit: both SelNetServer and ShardedRegistry fit.
-  using SubmitFn =
-      std::function<void(EstimateRequest, SelNetServer::ResponseFn)>;
-
-  /// \brief The type-erased serving backend: how to submit an estimate, how
-  /// to scrape a fleet StatsSnapshot ({"cmd":"stats"}), how to list retained
-  /// slow spans ({"cmd":"slow"}), and the trace-sampling rate the frontend
-  /// applies to wire requests (so the decode stage is captured before the
-  /// server sees the request). The snapshot/slow hooks may be null — admin
-  /// requests then get an error reply. Built fully-formed BEFORE the loop
-  /// thread starts, so the loop never races a half-initialized frontend.
-  struct Backend {
-    SubmitFn submit;
-    /// Optional batched submit: a whole read-round of decoded requests
-    /// enqueued under ONE scheduler lock (SelNetServer::SubmitMany). Null =
-    /// the frontend falls back to per-request `submit`. Per-request
-    /// semantics (admission, deadlines, errors) are identical either way.
-    std::function<void(std::vector<SelNetServer::Submission>)> submit_many;
-    std::function<StatsSnapshot()> snapshot;
-    std::function<std::vector<SpanRecord>()> slow;
-    /// Install a state-transferred model (the xfer_commit admin command):
-    /// deserialize SaveModel-format bytes and publish under the route,
-    /// returning the assigned version. Null = transfers are rejected (the
-    /// default for submit-only test backends).
-    std::function<util::Result<uint64_t>(const std::string& model,
-                                         const std::string& bytes)>
-        install;
-    size_t trace_sample_every = 0;
-    /// Prometheus-style registry text appended to the {"cmd":"metrics"}
-    /// reply — a coordinator's health/failover/transfer series
-    /// (ShardedRegistry::MetricsText). Null = the reply carries only the
-    /// snapshot-derived and frontend-level series.
-    std::function<std::string()> metrics;
-    /// JSON array body for {"cmd":"events"} (the coordinator's health /
-    /// transfer flight recorder). Null = the command gets an error reply.
-    std::function<std::string()> events;
-    /// Node identity stamped into FleetSnapshot when the backend's snapshot
-    /// does not already carry one (plain SelNetServer backends; a
-    /// ShardedRegistry stamps its own configured node_id).
-    std::string node_id;
-  };
-
   /// \brief Serve a single server (no sharding).
   NetFrontend(const FrontendConfig& cfg, SelNetServer* server);
   /// \brief Serve a shard fleet (requests route by their model field).
   NetFrontend(const FrontendConfig& cfg, ShardedRegistry* registry);
-  /// \brief Custom submit-only backend (tests; no admin plane).
-  NetFrontend(const FrontendConfig& cfg, SubmitFn submit);
-  /// \brief Fully custom backend.
-  NetFrontend(const FrontendConfig& cfg, Backend backend);
   ~NetFrontend();
 
   NetFrontend(const NetFrontend&) = delete;
@@ -208,6 +163,45 @@ class NetFrontend {
 
  private:
   struct Conn;
+
+  /// The type-erased serving backend: how to submit one read round's
+  /// decoded estimates, how to scrape a fleet StatsSnapshot
+  /// ({"cmd":"stats"}), how to list retained slow spans ({"cmd":"slow"}),
+  /// and the trace-sampling rate the frontend applies to wire requests (so
+  /// the decode stage is captured before the server sees the request). Built
+  /// fully-formed BEFORE the loop threads start, so a loop never races a
+  /// half-initialized frontend.
+  struct Backend {
+    /// Per-request semantics (admission, deadlines, errors) are those of
+    /// SubmitWith; a SelNetServer backend enqueues the whole round's
+    /// scheduler rows under one lock (SelNetServer::SubmitMany).
+    std::function<void(std::vector<SelNetServer::Submission>)> submit;
+    std::function<StatsSnapshot()> snapshot;
+    std::function<std::vector<SpanRecord>()> slow;
+    /// Install a state-transferred model (the xfer_commit admin command):
+    /// deserialize SaveModel-format bytes and publish under the route,
+    /// returning the assigned version.
+    std::function<util::Result<uint64_t>(const std::string& model,
+                                         const std::string& bytes)>
+        install;
+    size_t trace_sample_every = 0;
+    /// Prometheus-style registry text appended to the {"cmd":"metrics"}
+    /// reply — a coordinator's health/failover/transfer series
+    /// (ShardedRegistry::MetricsText). Null = the reply carries only the
+    /// snapshot-derived and frontend-level series.
+    std::function<std::string()> metrics;
+    /// JSON array body for {"cmd":"events"} (the coordinator's health /
+    /// transfer flight recorder). Null = the command gets an error reply.
+    std::function<std::string()> events;
+    /// Node identity stamped into FleetSnapshot when the backend's snapshot
+    /// does not already carry one (plain SelNetServer backends; a
+    /// ShardedRegistry stamps its own configured node_id).
+    std::string node_id;
+  };
+
+  NetFrontend(const FrontendConfig& cfg, Backend backend);
+  static Backend BackendFor(SelNetServer* server);
+  static Backend BackendFor(ShardedRegistry* registry);
 
   /// Per-loop state that response completions touch. Held by shared_ptr and
   /// captured (via its Conn) into every completion: if Stop() times out with
@@ -256,33 +250,45 @@ class NetFrontend {
                       bool read_socket);
   /// Consume complete JSON lines from the read buffer. False = close.
   bool ProcessJsonBuffer(LoopState* loop, const std::shared_ptr<Conn>& conn);
-  /// Consume complete binary frames from the read buffer, batching decoded
-  /// estimate rows into one backend submit. False = close.
+  /// Consume complete binary frames from the read buffer. False = close.
   bool ProcessBinaryBuffer(LoopState* loop, const std::shared_ptr<Conn>& conn);
+  /// The backpressure gate both framings check before each line/frame: true
+  /// (counting a stall on the transition) while the connection is at its
+  /// inflight cap or write-backlog bound.
+  bool Stalled(const std::shared_ptr<Conn>& conn);
   /// Enqueue the oversized-line error reply and mark the conn to close once
   /// it flushes (buffered request bytes are dropped).
   void RejectOversized(const std::shared_ptr<Conn>& conn);
   /// Flush as much of the write queue as the socket accepts. False = drop.
   bool HandleWritable(const std::shared_ptr<Conn>& conn);
-  void SubmitLine(LoopState* loop, const std::shared_ptr<Conn>& conn,
-                  std::string line);
-  /// Decode one binary estimate frame and append its submission to `batch`
-  /// (or queue an error frame on decode failure).
-  void SubmitFrame(LoopState* loop, const std::shared_ptr<Conn>& conn,
+  /// Decode one JSON line: an admin line is answered inline, an estimate is
+  /// appended to `batch` (a malformed one gets an error reply).
+  void DecodeLine(LoopState* loop, const std::shared_ptr<Conn>& conn,
+                  std::string line,
+                  std::vector<SelNetServer::Submission>* batch);
+  /// Decode one binary estimate frame into `batch` (or queue an error frame
+  /// on decode failure). `now` anchors its relative deadline.
+  void DecodeFrame(LoopState* loop, const std::shared_ptr<Conn>& conn,
                    const FrameHeader& hdr, const char* payload,
                    std::chrono::steady_clock::time_point now,
                    std::vector<SelNetServer::Submission>* batch);
-  /// Hand a read-round's decoded requests to the backend: one SubmitMany
-  /// when the hook is set, per-request submits otherwise.
-  void FlushBatch(std::vector<SelNetServer::Submission> batch);
+  /// 1-in-N decode-stage sampling; null for the untraced majority.
+  std::shared_ptr<RequestTrace> SampleTrace(LoopState* loop);
+  /// The tail both framings share for a decoded estimate: attach the trace
+  /// (sampled, or asked for by the wire), count it in flight, and append it
+  /// with its completion to the read round's batch.
+  void Enqueue(const std::shared_ptr<Conn>& conn, EstimateRequest req,
+               WireProto proto, std::shared_ptr<RequestTrace> trace,
+               std::chrono::steady_clock::time_point decode_start,
+               std::vector<SelNetServer::Submission>* batch);
+  /// Hand the requests decoded so far to the backend (one submit call) and
+  /// empty `batch`.
+  void FlushBatch(std::vector<SelNetServer::Submission>* batch);
   /// Build the completion that serializes + enqueues one response in the
   /// connection's negotiated framing.
   SelNetServer::ResponseFn MakeCompletion(
       const std::shared_ptr<Conn>& conn, uint64_t tag, WireProto proto,
       std::shared_ptr<RequestTrace> traced, bool wire_traced);
-  /// Answer one {"cmd":...} line synchronously on the loop thread (JSON
-  /// framing: reply + '\n' onto the write queue).
-  void HandleAdmin(const std::shared_ptr<Conn>& conn, const std::string& line);
   /// Parse + dispatch one admin line, returning the reply line (no
   /// newline/framing) — shared by both framings. A throwing handler fails
   /// the command, never the loop thread.
@@ -370,10 +376,9 @@ struct ClientReply {
 /// \brief Minimal blocking client for the wire protocol (tests, the demo's
 /// client mode, and the bench harness).
 ///
-/// One request at a time: Call (and the legacy wrappers on it) writes one
-/// request and blocks for ONE reply. Pipelining clients should use
-/// ClientChannel (client_channel.h), which correlates tagged out-of-order
-/// replies on one connection.
+/// One request at a time: Call writes one request and blocks for ONE reply.
+/// Pipelining clients should use ClientChannel (client_channel.h), which
+/// correlates tagged out-of-order replies on one connection.
 ///
 /// A fresh connection speaks JSON lines; Hello() negotiates the binary
 /// framing when the server supports it and falls back to JSON against older
@@ -405,10 +410,10 @@ class NetClient {
   int recv_timeout_ms() const { return recv_timeout_ms_; }
 
   /// \brief Negotiate the wire framing for this connection. Sends the hello
-  /// line; on a binary ack every subsequent Call/Roundtrip/Admin speaks
-  /// binary frames. An older server's unknown-cmd error reply is a clean
-  /// JSON fallback (OK status, proto() stays kJson); only transport
-  /// failures return non-OK. Reconnect resets the framing to JSON.
+  /// line; on a binary ack every subsequent Call speaks binary frames. An
+  /// older server's unknown-cmd error reply is a clean JSON fallback (OK
+  /// status, proto() stays kJson); only transport failures return non-OK.
+  /// Reconnect resets the framing to JSON.
   util::Status Hello(WireProto preferred = WireProto::kBinary,
                      uint8_t max_version = kWireVersion);
 
@@ -416,33 +421,13 @@ class NetClient {
   WireProto proto() const { return proto_; }
 
   /// \brief ONE typed round trip: serialize `call` in the negotiated
-  /// framing, send, await and parse the reply. This is the client surface —
-  /// Roundtrip/Admin/Metrics/StatsWire below are thin wrappers kept for
-  /// existing callers.
+  /// framing, send, await and parse the reply. This is the client surface
+  /// for every command except kHello (negotiate with Hello()). A server-side
+  /// error reply to an estimate surfaces as the returned Status.
   util::Result<ClientReply> Call(const ClientCall& call);
-
-  /// \brief Serialize, send, await and parse one response. A server-side
-  /// error reply surfaces as the returned Status. Wrapper over Call.
-  util::Result<EstimateResponse> Roundtrip(const EstimateRequest& req);
 
   /// \brief Send raw bytes (failure-path tests craft malformed input).
   util::Status SendRaw(const std::string& bytes);
-
-  /// \brief One admin-plane round trip ({"cmd":<cmd>,"tag":<tag>}); returns
-  /// the server's raw JSON reply line — even an error reply (failure-path
-  /// tests assert on it). On a binary connection the line rides inside an
-  /// admin frame; unknown command names pass through untouched.
-  util::Result<std::string> Admin(const std::string& cmd, uint64_t tag = 0);
-
-  /// \brief Fetch the server's Prometheus-style exposition text
-  /// ({"cmd":"metrics"}), newlines restored from the JSON transport.
-  /// Wrapper over Call.
-  util::Result<std::string> Metrics(uint64_t tag = 0);
-
-  /// \brief Fetch and parse the flat machine-scrape snapshot
-  /// ({"cmd":"stats_wire"}) — what a coordinator's scrape tick calls.
-  /// Wrapper over Call.
-  util::Result<StatsSnapshot> StatsWire(uint64_t tag = 0);
 
   /// \brief Block until one full line arrives (without the '\n').
   util::Result<std::string> ReadLine();

@@ -38,15 +38,19 @@ Status RemoteShard::HealthCheck() {
   NetClient client;
   SEL_RETURN_NOT_OK(client.Connect(cfg_.address, cfg_.port));
   client.set_recv_timeout_ms(cfg_.admin_timeout_ms);
-  SEL_ASSIGN_OR_RETURN(std::string reply, client.Admin("health"));
-  return ParseAckLine(reply);
+  ClientCall health;
+  health.cmd = Command::kHealth;
+  return client.Call(health).status();
 }
 
 Result<StatsSnapshot> RemoteShard::ScrapeStats() {
   NetClient client;
   SEL_RETURN_NOT_OK(client.Connect(cfg_.address, cfg_.port));
   client.set_recv_timeout_ms(cfg_.admin_timeout_ms);
-  return client.StatsWire();
+  ClientCall scrape;
+  scrape.cmd = Command::kStatsWire;
+  SEL_ASSIGN_OR_RETURN(ClientReply reply, client.Call(scrape));
+  return std::move(reply.stats);
 }
 
 }  // namespace selnet::serve

@@ -28,7 +28,7 @@
 /// Both shapes travel over the wire as JSON lines (wire.h) or binary frames
 /// (wire_binary.h), negotiated per connection. The binary frame carries `x`,
 /// `thresholds`, and `estimates` as raw IEEE-754 little-endian bytes — a
-/// remote estimate round-trips bit-identical to an in-process Submit,
+/// remote estimate round-trips bit-identical to an in-process SubmitWith,
 /// whereas the JSON path quantizes through decimal printing.
 
 namespace selnet::serve {

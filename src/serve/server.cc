@@ -14,7 +14,6 @@
 namespace selnet::serve {
 
 using util::Result;
-using util::Status;
 
 /// Aggregation state for one in-flight EstimateRequest. Rows (or the sweep
 /// job) write disjoint estimate slots from pool workers; whoever completes
@@ -303,35 +302,22 @@ bool SelNetServer::TryDegrade(const EstimateRequest& req,
   return true;
 }
 
-std::future<EstimateResponse> SelNetServer::Submit(EstimateRequest req) {
-  auto promise = std::make_shared<std::promise<EstimateResponse>>();
-  std::future<EstimateResponse> result = promise->get_future();
-  SubmitWith(std::move(req),
-             [promise](EstimateResponse&& resp, std::exception_ptr error) {
-               if (error) {
-                 promise->set_exception(error);
-               } else {
-                 promise->set_value(std::move(resp));
-               }
-             });
-  return result;
-}
-
 void SelNetServer::SubmitWith(EstimateRequest req, ResponseFn done) {
-  SubmitOne(std::move(req), std::move(done), nullptr);
+  std::vector<BatchScheduler::Row> rows;
+  SubmitOne(std::move(req), std::move(done), &rows);
+  if (!rows.empty()) scheduler_->SubmitRows(std::move(rows));
 }
 
 void SelNetServer::SubmitMany(std::vector<Submission> batch) {
   std::vector<BatchScheduler::Row> rows;
   for (Submission& s : batch) {
-    SubmitOne(std::move(s.req), std::move(s.done),
-              scheduler_ ? &rows : nullptr);
+    SubmitOne(std::move(s.req), std::move(s.done), &rows);
   }
   if (!rows.empty()) scheduler_->SubmitRows(std::move(rows));
 }
 
 void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
-                             std::vector<BatchScheduler::Row>* row_sink) {
+                             std::vector<BatchScheduler::Row>* rows) {
   SEL_CHECK(done != nullptr);
   // Malformed requests fail the request, never the process: this is client
   // input, not a server invariant.
@@ -494,15 +480,20 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
   }
 
   if (scheduler_) {
-    // Row expansion: each missing threshold joins the cross-request
-    // coalesced batch (SubmitRow copies x before returning, so `req` may
-    // die). Rows resolve their snapshot at flush time; the sorted-sweep
-    // repair in Finalize absorbs any mid-sweep republish.
+    // Row expansion: each missing threshold becomes a scheduler row that
+    // coalesces with other requests' rows. Rows resolve their snapshot at
+    // flush time; the sorted-sweep repair in Finalize absorbs any mid-sweep
+    // republish.
     state->remaining.store(missing.size(), std::memory_order_relaxed);
     for (size_t idx : missing) {
-      auto row_done = [this, state, idx, route_stats](
-                          float value, std::exception_ptr error,
-                          const BatchScheduler::RowTiming& timing) {
+      BatchScheduler::Row row;
+      row.model = state->resp.model;
+      row.x = req.x;
+      row.t = req.thresholds[idx];
+      row.deadline = req.deadline;
+      row.done = [this, state, idx, route_stats](
+                     float value, std::exception_ptr error,
+                     const BatchScheduler::RowTiming& timing) {
         if (error) {
           state->RecordError(std::move(error));
         } else {
@@ -518,21 +509,7 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
         }
         if (state->remaining.fetch_sub(1) == 1) state->Finalize();
       };
-      if (row_sink != nullptr) {
-        // Batched producer: buffer the row; the caller hands the whole
-        // batch to the scheduler in one SubmitRows.
-        BatchScheduler::Row row;
-        row.model = state->resp.model;
-        row.x = req.x;
-        row.t = req.thresholds[idx];
-        row.done = std::move(row_done);
-        row.deadline = req.deadline;
-        row_sink->push_back(std::move(row));
-      } else {
-        scheduler_->SubmitRow(state->resp.model, req.x.data(),
-                              req.thresholds[idx], std::move(row_done),
-                              req.deadline);
-      }
+      rows->push_back(std::move(row));
     }
     return;
   }
@@ -561,52 +538,6 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
     state->RecordError(std::current_exception());
   }
   state->Finalize();
-}
-
-std::future<float> SelNetServer::EstimateAsync(const float* x, float t) {
-  // A real promise-backed future (not a deferred adapter): wait_for/wait_until
-  // report ready as soon as the response lands, like the pre-request-object
-  // API did.
-  auto promise = std::make_shared<std::promise<float>>();
-  std::future<float> result = promise->get_future();
-  SubmitWith(EstimateRequest::Point(x, cfg_.dim, t),
-             [promise](EstimateResponse&& resp, std::exception_ptr error) {
-               if (error) {
-                 promise->set_exception(error);
-               } else {
-                 promise->set_value(resp.estimates[0]);
-               }
-             });
-  return result;
-}
-
-Result<float> SelNetServer::Estimate(const float* x, float t) {
-  try {
-    EstimateResponse resp =
-        Submit(EstimateRequest::Point(x, cfg_.dim, t)).get();
-    return resp.estimates[0];
-  } catch (const std::exception& e) {
-    if (registry_.VersionOf(cfg_.model_name) == 0) {
-      return Status::NotFound("no model published under '" + cfg_.model_name +
-                              "'");
-    }
-    return Status::Internal(e.what());
-  }
-}
-
-Result<std::vector<float>> SelNetServer::EstimateSweep(
-    const float* x, const std::vector<float>& ts) {
-  if (ts.empty()) return std::vector<float>{};
-  try {
-    EstimateResponse resp = Submit(EstimateRequest::Sweep(x, cfg_.dim, ts)).get();
-    return std::move(resp.estimates);
-  } catch (const std::exception& e) {
-    if (registry_.VersionOf(cfg_.model_name) == 0) {
-      return Status::NotFound("no model published under '" + cfg_.model_name +
-                              "'");
-    }
-    return Status::Internal(e.what());
-  }
 }
 
 void SelNetServer::Drain() {

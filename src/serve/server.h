@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -23,7 +22,7 @@
 /// \brief SelNetServer: the serving facade tying registry, scheduler, cache
 /// and stats into one request-object endpoint.
 ///
-/// Request path — Submit(EstimateRequest) -> future<EstimateResponse>:
+/// Request path — SubmitWith(EstimateRequest, ResponseFn):
 ///   1. resolve the routed registry slot and pin its snapshot;
 ///   2. cache lookup per threshold on (version, quantized x, t); a fully
 ///      cached request resolves immediately;
@@ -35,10 +34,10 @@
 ///          rows coalesce with other requests (any model mix; flushes group
 ///          by route);
 ///   4. completion fills the cache, repairs sorted sweeps to a non-decreasing
-///      column, and resolves the future.
+///      column, and invokes the caller's ResponseFn.
 ///
-/// `Estimate` / `EstimateAsync` / `EstimateSweep` are thin compatibility
-/// shims that build the corresponding request object.
+/// SubmitMany is the same path for a batch of requests: their scheduler rows
+/// reach the BatchScheduler in one SubmitRows call.
 ///
 /// Hot-swap: Publish() installs a new snapshot in the registry. Scheduler
 /// rows resolve their snapshot when their batch flushes, so in-flight rows
@@ -188,21 +187,6 @@ class SelNetServer {
   /// one flusher wake, instead of one per row.
   void SubmitMany(std::vector<Submission> batch);
 
-  /// \brief Future-returning wrapper over SubmitWith.
-  std::future<EstimateResponse> Submit(EstimateRequest req);
-
-  /// \brief Shim: asynchronous estimate for one (x, t). `x` must hold dim
-  /// floats. The future throws if no model is published or serving fails.
-  std::future<float> EstimateAsync(const float* x, float t);
-
-  /// \brief Shim: blocking estimate; NotFound when no model is published.
-  util::Result<float> Estimate(const float* x, float t);
-
-  /// \brief Shim: monotone threshold sweep — a Sweep request submitted and
-  /// awaited. With `ts` sorted ascending the result column is non-decreasing.
-  util::Result<std::vector<float>> EstimateSweep(const float* x,
-                                                 const std::vector<float>& ts);
-
   /// \brief Block until every accepted request has been answered.
   void Drain();
 
@@ -236,11 +220,11 @@ class SelNetServer {
  private:
   struct PendingResponse;
 
-  /// The SubmitWith body, parameterized over where scheduler rows go:
-  /// null sink = straight into the scheduler (SubmitWith); non-null =
-  /// appended for the caller to hand over in one SubmitRows (SubmitMany).
+  /// The body of both entry points: validation, admission, cache, fast
+  /// path. Row-expanded thresholds are appended to `rows`; the caller hands
+  /// them to the scheduler in one SubmitRows.
   void SubmitOne(EstimateRequest req, ResponseFn done,
-                 std::vector<BatchScheduler::Row>* row_sink);
+                 std::vector<BatchScheduler::Row>* rows);
 
   /// Run one batched Predict on `handle`'s snapshot: stats + cache fill.
   tensor::Matrix PredictOnHandle(const ModelHandle& handle,

@@ -540,42 +540,6 @@ void ShardedRegistry::TryReplica(const std::shared_ptr<Failover>& fo,
              });
 }
 
-std::future<EstimateResponse> ShardedRegistry::Submit(EstimateRequest req) {
-  auto promise = std::make_shared<std::promise<EstimateResponse>>();
-  std::future<EstimateResponse> fut = promise->get_future();
-  SubmitWith(std::move(req),
-             [promise](EstimateResponse&& resp, std::exception_ptr error) {
-               if (error) {
-                 promise->set_exception(error);
-               } else {
-                 promise->set_value(std::move(resp));
-               }
-             });
-  return fut;
-}
-
-Result<float> ShardedRegistry::Estimate(const float* x, float t) {
-  size_t primary = ShardOf("");
-  if (IsLocalSlot(primary) && cfg_.replication <= 1) {
-    return shards_[primary]->server->Estimate(x, t);
-  }
-  std::future<EstimateResponse> fut =
-      Submit(EstimateRequest::Point(x, cfg_.server.dim, t));
-  try {
-    EstimateResponse resp = fut.get();
-    if (resp.estimates.empty()) {
-      return Status::Internal("empty estimate response");
-    }
-    return resp.estimates[0];
-  } catch (const RemoteError& e) {
-    return Status(e.code(), e.what());
-  } catch (const OverloadError& e) {
-    return Status::Unavailable(e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(e.what());
-  }
-}
-
 void ShardedRegistry::HealthLoop() {
   std::unique_lock<std::mutex> lock(health_mu_);
   while (!health_stop_) {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,11 +51,12 @@
 /// proxies — and each route may be replicated onto `replication` distinct
 /// ring successors:
 ///
-///   * Submit routes to the route's primary replica first; a transport-level
-///     failure (connection refused, connection lost mid-stream, response
-///     timeout) marks that replica suspect and retries the next replica,
-///     bounded by the request's own deadline. Estimates are pure reads, so
-///     retrying a possibly-completed request is safe by construction.
+///   * SubmitWith routes to the route's primary replica first; a
+///     transport-level failure (connection refused, connection lost
+///     mid-stream, response timeout) marks that replica suspect and retries
+///     the next replica, bounded by the request's own deadline. Estimates
+///     are pure reads, so retrying a possibly-completed request is safe by
+///     construction.
 ///   * Publish fans out to every replica of the route — local replicas get
 ///     the model object, remote replicas get the serialized SaveModel bytes
 ///     over the state-transfer protocol — and the bytes are retained as the
@@ -157,7 +157,7 @@ const char* ShardHealthName(ShardHealth h);
 
 /// \brief N per-shard serving stacks behind one consistent-hash router.
 ///
-/// The public surface mirrors SelNetServer — Publish / Submit / Drain /
+/// The public surface mirrors SelNetServer — Publish / SubmitWith / Drain /
 /// AttachUpdatePipeline — so the frontend (and any embedding code) can treat
 /// "one server" and "a shard fleet" interchangeably.
 class ShardedRegistry {
@@ -197,14 +197,9 @@ class ShardedRegistry {
                                           const std::string& bytes,
                                           const std::string& origin);
 
-  /// \brief Route by EstimateRequest::model and submit to the owning shard.
+  /// \brief The one entry point: route by EstimateRequest::model and submit
+  /// to the owning shard (walking the replicas on a retryable failure).
   void SubmitWith(EstimateRequest req, SelNetServer::ResponseFn done);
-
-  /// \brief Future-returning wrapper over SubmitWith.
-  std::future<EstimateResponse> Submit(EstimateRequest req);
-
-  /// \brief Shim: blocking scalar estimate against the default route.
-  util::Result<float> Estimate(const float* x, float t);
 
   /// \brief Attach a live-update pipeline for `cfg.model_name` on its owning
   /// shard (see SelNetServer::AttachUpdatePipeline). One pipeline per shard:

@@ -180,7 +180,7 @@ void TransferAssembler::Abort() {
 
 namespace {
 
-Status Roundtrip(NetClient* client, const std::string& line,
+Status SendAwaitAck(NetClient* client, const std::string& line,
                  uint64_t* version = nullptr) {
   SEL_RETURN_NOT_OK(client->SendRaw(line + "\n"));
   Result<std::string> reply = client->ReadLine();
@@ -194,13 +194,13 @@ Status SendModelState(NetClient* client, const std::string& model,
                       const std::string& bytes, uint64_t* version,
                       size_t frame_bytes) {
   std::vector<TransferFrame> frames = BuildFrames(bytes, frame_bytes);
-  SEL_RETURN_NOT_OK(Roundtrip(
+  SEL_RETURN_NOT_OK(SendAwaitAck(
       client, SerializeXferBegin(model, bytes.size(), frames.size())));
   for (const TransferFrame& f : frames) {
-    SEL_RETURN_NOT_OK(Roundtrip(client, SerializeXferFrame(f)));
+    SEL_RETURN_NOT_OK(SendAwaitAck(client, SerializeXferFrame(f)));
   }
   uint32_t whole = util::Crc32(bytes.data(), bytes.size());
-  return Roundtrip(client, SerializeXferCommit(model, whole), version);
+  return SendAwaitAck(client, SerializeXferCommit(model, whole), version);
 }
 
 }  // namespace selnet::serve

@@ -260,6 +260,25 @@ std::string JsonQuote(const std::string& s) {
   return out;
 }
 
+Status DeadlineFromBudget(double budget_ms,
+                          std::chrono::steady_clock::time_point now,
+                          std::chrono::steady_clock::time_point* deadline) {
+  using Clock = std::chrono::steady_clock;
+  // ~31.7 years: far past any request, and far enough below the clock's
+  // ~292-year nanosecond range that `now + budget` cannot overflow.
+  constexpr double kNeverExpiresMs = 1e12;
+  if (std::isnan(budget_ms)) return Status::Invalid("wire: deadline_ms is NaN");
+  if (budget_ms >= kNeverExpiresMs) {
+    *deadline = Clock::time_point::max();
+  } else if (budget_ms <= 0.0) {
+    *deadline = now;
+  } else {
+    *deadline = now + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double, std::milli>(budget_ms));
+  }
+  return Status::OK();
+}
+
 Status ParseRequestLine(const std::string& line, EstimateRequest* req) {
   EstimateRequest parsed;
   bool have_x = false;
@@ -282,11 +301,8 @@ Status ParseRequestLine(const std::string& line, EstimateRequest* req) {
       // yields an already-past deadline, shed before any compute.
       float budget_ms = 0.0f;
       SEL_RETURN_NOT_OK(p.Float(&budget_ms));
-      parsed.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(budget_ms));
-      return Status::OK();
+      return DeadlineFromBudget(budget_ms, std::chrono::steady_clock::now(),
+                                &parsed.deadline);
     }
     if (key == "trace") return p.Bool(&parsed.wire_trace);
     return p.Fail("unknown request field '" + key + "'");

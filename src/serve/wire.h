@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,7 +68,7 @@
 ///   {"cmd":"health","tag":7}  -> {"ok":true,"tag":7}
 ///   {"cmd":"metrics","tag":7} -> {"metrics":"<Prometheus text>","tag":7}
 ///     (the exposition text travels as ONE JSON string — JsonQuote escapes
-///      the newlines; NetClient::Metrics() unescapes them back)
+///      the newlines; NetClient::Call(kMetrics) unescapes them back)
 ///   {"cmd":"events","tag":7}  -> {"events":[{...},...],"tag":7}
 ///     (the coordinator's health/transfer flight-recorder ring)
 ///   {"cmd":"stats_wire","tag":7} -> a FLAT machine-parseable snapshot: the
@@ -154,6 +155,15 @@ const CommandInfo* FindCommand(Command cmd);
 /// \brief Parse one request line. On error the returned Status carries a
 /// client-safe message (no server internals) and `req` is untouched.
 util::Status ParseRequestLine(const std::string& line, EstimateRequest* req);
+
+/// \brief Anchor a client's RELATIVE deadline budget at `now`: the one
+/// conversion both request decoders (JSON and binary) use. A non-positive
+/// budget is already expired (`now`); a budget the steady clock cannot
+/// represent saturates to a deadline that never expires; NaN is a typed
+/// decode error.
+util::Status DeadlineFromBudget(
+    double budget_ms, std::chrono::steady_clock::time_point now,
+    std::chrono::steady_clock::time_point* deadline);
 
 /// \brief One metrics/admin-plane request ({"cmd":"stats"} / {"cmd":"slow"} /
 /// {"cmd":"health"} / the xfer_* state-transfer family).

@@ -278,9 +278,7 @@ Status DecodeRequestPayload(const char* p, size_t len,
   if (flags & kReqFlagDeadline) {
     float budget_ms = 0.0f;
     SEL_RETURN_NOT_OK(r.ReadF32(&budget_ms));
-    parsed.deadline =
-        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(budget_ms));
+    SEL_RETURN_NOT_OK(DeadlineFromBudget(budget_ms, now, &parsed.deadline));
   }
   parsed.wire_trace = (flags & kReqFlagTrace) != 0;
   SEL_RETURN_NOT_OK(r.ReadF32Array(&parsed.x));

@@ -19,6 +19,7 @@
 #include "serve/state_transfer.h"
 #include "serve/wire.h"
 #include "util/backoff.h"
+#include "serve_await.h"
 
 /// Fleet invariants (PR 8): R-way replication across local + remote slots,
 /// failover that loses nothing when a replica dies mid-traffic, and
@@ -201,7 +202,7 @@ TEST_F(FleetTest, RemoteShardServesBitIdenticalSweeps) {
     }
   });
   EstimateResponse over_wire = got.get_future().get();
-  EstimateResponse in_process = local.Submit(req).get();
+  EstimateResponse in_process = Await(local, req);
 
   EXPECT_EQ(over_wire.tag, 42u);  // Internal wire tags never leak out.
   ASSERT_EQ(over_wire.estimates.size(), ts.size());
@@ -237,7 +238,7 @@ TEST_F(FleetTest, ReplicaDeathMidBatchLosesNoRequests) {
   };
 
   // Reference answer, computed before any failure.
-  EstimateResponse reference = reg.Submit(make_req()).get();
+  EstimateResponse reference = Await(reg, make_req());
   ASSERT_EQ(reference.estimates.size(), ts.size());
 
   constexpr size_t kBefore = 10, kInflight = 10, kAfter = 20;
@@ -252,20 +253,20 @@ TEST_F(FleetTest, ReplicaDeathMidBatchLosesNoRequests) {
     ++completed;
   };
 
-  for (size_t i = 0; i < kBefore; ++i) check(reg.Submit(make_req()).get());
+  for (size_t i = 0; i < kBefore; ++i) check(Await(reg, make_req()));
 
   // Kill the primary with a batch in flight; every future must still
   // complete exactly once, successfully (std::promise aborts on a double
   // set, so "exactly once" is structurally enforced).
   std::vector<std::future<EstimateResponse>> inflight;
   for (size_t i = 0; i < kInflight; ++i) {
-    inflight.push_back(reg.Submit(make_req()));
+    inflight.push_back(SubmitAsync(reg, make_req()));
   }
   node.reset();  // Connection drops; unanswered requests surface as kIoError
                  // inside the router and retry on the local replica.
   for (auto& fut : inflight) check(fut.get());
 
-  for (size_t i = 0; i < kAfter; ++i) check(reg.Submit(make_req()).get());
+  for (size_t i = 0; i < kAfter; ++i) check(Await(reg, make_req()));
 
   EXPECT_EQ(completed, kBefore + kInflight + kAfter);
   EXPECT_NE(reg.slot_health(1), ShardHealth::kHealthy)
@@ -288,7 +289,7 @@ TEST_F(FleetTest, CrashedReplicaRejoinsAndServesBitIdenticalAfterResync) {
   std::vector<float> q = Query();
   std::vector<float> ts = SortedThresholds(7);
   EstimateRequest req = EstimateRequest::Sweep(q.data(), kDim, ts, route);
-  EstimateResponse reference = reg.Submit(req).get();
+  EstimateResponse reference = Await(reg, req);
 
   // Crash the node, then run a publish storm while it is down: every
   // publish must succeed (local primary) and the retained bytes stay the
@@ -311,11 +312,12 @@ TEST_F(FleetTest, CrashedReplicaRejoinsAndServesBitIdenticalAfterResync) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", node->port()).ok());
   client.set_recv_timeout_ms(2000);
-  auto direct = client.Roundtrip(req);
+  auto direct = client.Call({Command::kEstimate, req});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  ASSERT_EQ(direct.ValueOrDie().estimates.size(), ts.size());
+  const EstimateResponse& resp = direct.ValueOrDie().estimate;
+  ASSERT_EQ(resp.estimates.size(), ts.size());
   for (size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(direct.ValueOrDie().estimates[i], reference.estimates[i]) << i;
+    EXPECT_EQ(resp.estimates[i], reference.estimates[i]) << i;
   }
 }
 
@@ -403,10 +405,8 @@ TEST_F(FleetTest, LocalOnlyRouteWithRemotePrimaryFailsOverToLocalReplica) {
   // The remote primary answers a typed not_found; the failover chain must
   // fall through to the local replica instead of failing the request.
   std::vector<float> q = Query();
-  EstimateResponse resp =
-      reg.Submit(EstimateRequest::Point(q.data(), kDim, wl_->tmax * 0.5f,
-                                        route))
-          .get();
+  EstimateResponse resp = Await(
+      reg, EstimateRequest::Point(q.data(), kDim, wl_->tmax * 0.5f, route));
   ASSERT_EQ(resp.estimates.size(), 1u);
   EXPECT_EQ(resp.estimates[0], 0.25f);
   // A replica that answered (promptly) that it lacks the route is healthy —
@@ -435,7 +435,7 @@ TEST_F(FleetTest, HealthStateMachineAdmitsLateStartingNode) {
   std::vector<float> q = Query();
   std::vector<float> ts = SortedThresholds(4);
   EstimateRequest req = EstimateRequest::Sweep(q.data(), kDim, ts, route);
-  EstimateResponse before = reg.Submit(req).get();
+  EstimateResponse before = Await(reg, req);
   ASSERT_EQ(before.estimates.size(), ts.size());
 
   // Node comes up late; the health loop admits it AND ships the route's
@@ -447,10 +447,11 @@ TEST_F(FleetTest, HealthStateMachineAdmitsLateStartingNode) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", node.port()).ok());
   client.set_recv_timeout_ms(2000);
-  auto direct = client.Roundtrip(req);
+  auto direct = client.Call({Command::kEstimate, req});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   for (size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(direct.ValueOrDie().estimates[i], before.estimates[i]) << i;
+    EXPECT_EQ(direct.ValueOrDie().estimate.estimates[i], before.estimates[i])
+        << i;
   }
 }
 
@@ -469,7 +470,7 @@ TEST_F(FleetTest, TracedRemoteRequestMergesRemoteStagesIntoCallerTrace) {
   auto trace = std::make_shared<RequestTrace>();
   req.trace = trace;
 
-  EstimateResponse resp = reg.Submit(std::move(req)).get();
+  EstimateResponse resp = Await(reg, std::move(req));
   ASSERT_EQ(resp.estimates.size(), ts.size());
   // The remote's stage block is consumed by the trace merge, never leaked to
   // the caller's response.
@@ -504,7 +505,7 @@ TEST_F(FleetTest, KilledPrimaryBumpsFailoverCountersAndEventRing) {
   auto make_req = [&] {
     return EstimateRequest::Sweep(q.data(), kDim, ts, route);
   };
-  EstimateResponse reference = reg.Submit(make_req()).get();
+  EstimateResponse reference = Await(reg, make_req());
   ASSERT_EQ(reference.estimates.size(), ts.size());
 
   util::MetricsRegistry& metrics = reg.metrics();
@@ -516,7 +517,7 @@ TEST_F(FleetTest, KilledPrimaryBumpsFailoverCountersAndEventRing) {
   // finish before the kill lands, so the deterministic counter check rides
   // on the POST-kill submits below, which must walk past the dead primary.
   std::vector<std::future<EstimateResponse>> inflight;
-  for (int i = 0; i < 8; ++i) inflight.push_back(reg.Submit(make_req()));
+  for (int i = 0; i < 8; ++i) inflight.push_back(SubmitAsync(reg, make_req()));
   node.reset();
   size_t completed = 0;
   auto check = [&](EstimateResponse resp) {
@@ -527,7 +528,7 @@ TEST_F(FleetTest, KilledPrimaryBumpsFailoverCountersAndEventRing) {
     ++completed;
   };
   for (auto& fut : inflight) check(fut.get());  // get() throws on a loss.
-  for (int i = 0; i < 4; ++i) check(reg.Submit(make_req()).get());
+  for (int i = 0; i < 4; ++i) check(Await(reg, make_req()));
   EXPECT_EQ(completed, 12u);
 
   uint64_t attempts = metrics.CounterTotal("selnet_failover_attempts_total");
@@ -595,19 +596,19 @@ TEST_F(FleetTest, ScrapeMergePoolsRemoteHistogramsAndStampsSlots) {
   std::vector<float> ts = SortedThresholds(5);
   constexpr size_t kRemoteReqs = 6, kLocalReqs = 4;
   for (size_t i = 0; i < kRemoteReqs; ++i) {
-    reg.Submit(EstimateRequest::Sweep(q.data(), kDim, ts, remote_route)).get();
+    Await(reg, EstimateRequest::Sweep(q.data(), kDim, ts, remote_route));
   }
   for (size_t i = 0; i < kLocalReqs; ++i) {
-    reg.Submit(EstimateRequest::Sweep(q.data(), kDim, ts, local_route)).get();
+    Await(reg, EstimateRequest::Sweep(q.data(), kDim, ts, local_route));
   }
 
   // Ground truth: scrape the node directly, bypassing the registry.
   NetClient direct;
   ASSERT_TRUE(direct.Connect("127.0.0.1", node.port()).ok());
   direct.set_recv_timeout_ms(2000);
-  auto remote_res = direct.StatsWire();
+  auto remote_res = direct.Call({Command::kStatsWire});
   ASSERT_TRUE(remote_res.ok()) << remote_res.status().ToString();
-  const StatsSnapshot& remote_snap = remote_res.ValueOrDie();
+  const StatsSnapshot& remote_snap = remote_res.ValueOrDie().stats;
   EXPECT_GT(remote_snap.requests, 0u);
   EXPECT_GT(remote_snap.latency_hist.count, 0u);
   EXPECT_FALSE(remote_snap.node_id.empty());
@@ -670,7 +671,7 @@ TEST_F(FleetTest, MetricsAndEventsServeOverTheWire) {
   ASSERT_TRUE(reg.PublishFromBytes(route, *bytes_, "fleet").ok());
   std::vector<float> q = Query();
   std::vector<float> ts = SortedThresholds(5);
-  reg.Submit(EstimateRequest::Sweep(q.data(), kDim, ts, route)).get();
+  Await(reg, EstimateRequest::Sweep(q.data(), kDim, ts, route));
 
   FrontendConfig fcfg;
   fcfg.drain_timeout_s = 0.2;
@@ -683,9 +684,9 @@ TEST_F(FleetTest, MetricsAndEventsServeOverTheWire) {
 
   // {"cmd":"metrics"}: one lint-clean Prometheus exposition combining the
   // snapshot-derived series, the frontend's own, and the registry's.
-  auto metrics = client.Metrics(/*tag=*/7);
+  auto metrics = client.Call({Command::kMetrics, {}, {"metrics", /*tag=*/7}});
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  const std::string& text = metrics.ValueOrDie();
+  const std::string& text = metrics.ValueOrDie().text;
   util::Status lint = util::LintExposition(text);
   EXPECT_TRUE(lint.ok()) << lint.ToString() << "\n" << text;
   for (const char* needle :
@@ -701,19 +702,20 @@ TEST_F(FleetTest, MetricsAndEventsServeOverTheWire) {
 
   // {"cmd":"events"}: the flight recorder, as a JSON array — startup
   // admission of the remote is already on it.
-  auto events_reply = client.Admin("events", /*tag=*/8);
+  auto events_reply =
+      client.Call({Command::kEvents, {}, {"events", /*tag=*/8}});
   ASSERT_TRUE(events_reply.ok()) << events_reply.status().ToString();
-  EXPECT_NE(events_reply.ValueOrDie().find("\"kind\":\"health\""),
-            std::string::npos);
-  EXPECT_NE(events_reply.ValueOrDie().find("\"to\":\"healthy\""),
-            std::string::npos);
+  const std::string& events = events_reply.ValueOrDie().body;
+  EXPECT_NE(events.find("\"kind\":\"health\""), std::string::npos);
+  EXPECT_NE(events.find("\"to\":\"healthy\""), std::string::npos);
 
   // {"cmd":"stats_wire"} against the coordinator frontend round-trips the
   // aggregate (this is what a higher-tier scraper would consume).
-  auto wire_snap = client.StatsWire(/*tag=*/9);
+  auto wire_snap =
+      client.Call({Command::kStatsWire, {}, {"stats_wire", /*tag=*/9}});
   ASSERT_TRUE(wire_snap.ok()) << wire_snap.status().ToString();
-  EXPECT_GE(wire_snap.ValueOrDie().requests, 1u);
-  EXPECT_EQ(wire_snap.ValueOrDie().node_id, "coordinator");
+  EXPECT_GE(wire_snap.ValueOrDie().stats.requests, 1u);
+  EXPECT_EQ(wire_snap.ValueOrDie().stats.node_id, "coordinator");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +24,7 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "serve_await.h"
 
 namespace selnet::serve {
 namespace {
@@ -51,6 +53,25 @@ TEST(WireTest, RequestRoundTripsBitIdentically) {
   for (size_t i = 0; i < req.thresholds.size(); ++i) {
     EXPECT_EQ(parsed.thresholds[i], req.thresholds[i]);
   }
+}
+
+TEST(WireTest, DeadlineBudgetPastTheClockRangeNeverExpires) {
+  // 1e13 ms is ~317 years: as nanoseconds it overflows the steady clock, so
+  // the budget saturates to a deadline that never expires instead.
+  EstimateRequest forever;
+  ASSERT_TRUE(ParseRequestLine(
+                  "{\"x\":[1],\"thresholds\":[0.5],\"deadline_ms\":1e13}",
+                  &forever)
+                  .ok());
+  EXPECT_EQ(forever.deadline, std::chrono::steady_clock::time_point::max());
+  // A non-positive budget is still already expired.
+  EstimateRequest expired;
+  ASSERT_TRUE(ParseRequestLine(
+                  "{\"x\":[1],\"thresholds\":[0.5],\"deadline_ms\":-1}",
+                  &expired)
+                  .ok());
+  ASSERT_TRUE(expired.has_deadline());
+  EXPECT_LE(expired.deadline, std::chrono::steady_clock::now());
 }
 
 TEST(WireTest, ResponseRoundTripsBitIdentically) {
@@ -180,16 +201,17 @@ TEST_F(FrontendFixture, RoundTripMatchesInProcessSubmitBitIdentically) {
     }
     req.tag = uint64_t(i + 1);
 
-    util::Result<EstimateResponse> wire = client_.Roundtrip(req);
+    util::Result<ClientReply> wire = client_.Call({Command::kEstimate, req});
     ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-    EstimateResponse direct = server_->Submit(req).get();
-    ASSERT_EQ(wire.ValueOrDie().estimates.size(), direct.estimates.size());
+    EstimateResponse direct = Await(*server_, req);
+    const EstimateResponse& remote = wire.ValueOrDie().estimate;
+    ASSERT_EQ(remote.estimates.size(), direct.estimates.size());
     for (size_t k = 0; k < direct.estimates.size(); ++k) {
-      EXPECT_EQ(wire.ValueOrDie().estimates[k], direct.estimates[k])
+      EXPECT_EQ(remote.estimates[k], direct.estimates[k])
           << "request " << i << " threshold " << k;
     }
-    EXPECT_EQ(wire.ValueOrDie().tag, req.tag);
-    EXPECT_EQ(wire.ValueOrDie().model, direct.model);
+    EXPECT_EQ(remote.tag, req.tag);
+    EXPECT_EQ(remote.model, direct.model);
   }
   FrontendStats stats = frontend_->Stats();
   EXPECT_EQ(stats.requests, 20u);
@@ -218,10 +240,53 @@ TEST_F(FrontendFixture, MalformedJsonGetsErrorReplyAndConnectionSurvives) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
-  util::Result<EstimateResponse> ok = client_.Roundtrip(req);
+  util::Result<ClientReply> ok = client_.Call({Command::kEstimate, req});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_FLOAT_EQ(ok.ValueOrDie().estimates[0], 11.0f);
+  EXPECT_FLOAT_EQ(ok.ValueOrDie().estimate.estimates[0], 11.0f);
   EXPECT_GE(frontend_->Stats().parse_errors, 1u);
+
+  // Pipelined: tagged estimates, a malformed line and an admin line in ONE
+  // write — they decode in one read round. Every line gets exactly one reply
+  // carrying its tag, and the estimates are bit-equal to in-process answers.
+  util::Rng rng(5);
+  std::vector<EstimateRequest> reqs;
+  std::string burst;
+  for (uint64_t tag = 101; tag <= 106; ++tag) {
+    EstimateRequest r;
+    for (int j = 0; j < 4; ++j) r.x.push_back(float(rng.Uniform()));
+    r.thresholds = {float(rng.Uniform()), float(rng.Uniform())};
+    r.tag = tag;
+    burst += SerializeRequest(r) + "\n";
+    reqs.push_back(std::move(r));
+    if (tag == 103) burst += "{\"x\":[1],\"tag\":200,\"nope\":true}\n";
+  }
+  burst += "{\"cmd\":\"stats\",\"tag\":300}\n";
+  ASSERT_TRUE(client_.SendRaw(burst).ok());
+  std::map<uint64_t, std::string> replies;
+  for (size_t i = 0; i < reqs.size() + 2; ++i) {
+    util::Result<std::string> line = client_.ReadLine();
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    uint64_t tag = ExtractTagBestEffort(line.ValueOrDie());
+    EXPECT_TRUE(replies.emplace(tag, line.ValueOrDie()).second)
+        << "second reply for tag " << tag;
+  }
+  client_.set_recv_timeout_ms(100);
+  EXPECT_EQ(client_.ReadLine().status().code(),
+            util::StatusCode::kDeadlineExceeded)
+      << "a line got more than one reply";
+  EXPECT_NE(replies[200].find("\"error\""), std::string::npos);
+  EXPECT_NE(replies[300].find("\"stats\""), std::string::npos);
+  for (const EstimateRequest& r : reqs) {
+    EstimateResponse wire;
+    ASSERT_TRUE(ParseResponseLine(replies[r.tag], &wire).ok())
+        << replies[r.tag];
+    EstimateResponse direct = Await(*server_, r);
+    ASSERT_EQ(wire.estimates.size(), direct.estimates.size());
+    for (size_t k = 0; k < direct.estimates.size(); ++k) {
+      EXPECT_EQ(wire.estimates[k], direct.estimates[k])
+          << "tag " << r.tag << " threshold " << k;
+    }
+  }
 }
 
 TEST_F(FrontendFixture, UnknownRouteGetsErrorReplyAndConnectionSurvives) {
@@ -229,12 +294,12 @@ TEST_F(FrontendFixture, UnknownRouteGetsErrorReplyAndConnectionSurvives) {
   req.model = "never-published";
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
-  util::Result<EstimateResponse> bad = client_.Roundtrip(req);
+  util::Result<ClientReply> bad = client_.Call({Command::kEstimate, req});
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("never-published"), std::string::npos);
 
   req.model.clear();
-  util::Result<EstimateResponse> ok = client_.Roundtrip(req);
+  util::Result<ClientReply> ok = client_.Call({Command::kEstimate, req});
   ASSERT_TRUE(ok.ok());
   EXPECT_GE(frontend_->Stats().request_errors, 1u);
 }
@@ -243,7 +308,7 @@ TEST_F(FrontendFixture, WrongDimensionalityGetsErrorReply) {
   EstimateRequest req;
   req.x = {1.0f, 2.0f};  // Server dim is 4.
   req.thresholds = {0.5f};
-  util::Result<EstimateResponse> bad = client_.Roundtrip(req);
+  util::Result<ClientReply> bad = client_.Call({Command::kEstimate, req});
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("dim"), std::string::npos);
 }
@@ -278,7 +343,7 @@ TEST(FrontendLimitsTest, OversizedPayloadIsRejectedThenClosed) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {0.5f};
-  EXPECT_TRUE(again.Roundtrip(req).ok());
+  EXPECT_TRUE(again.Call({Command::kEstimate, req}).ok());
 }
 
 TEST(FrontendLimitsTest, ClientDisconnectMidResponseIsHarmless) {
@@ -307,9 +372,9 @@ TEST(FrontendLimitsTest, ClientDisconnectMidResponseIsHarmless) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
-  util::Result<EstimateResponse> ok = polite.Roundtrip(req);
+  util::Result<ClientReply> ok = polite.Call({Command::kEstimate, req});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_FLOAT_EQ(ok.ValueOrDie().estimates[0], 1.0f);
+  EXPECT_FLOAT_EQ(ok.ValueOrDie().estimate.estimates[0], 1.0f);
 }
 
 TEST(FrontendLimitsTest, GracefulDrainAnswersAcceptedRequests) {
@@ -389,12 +454,14 @@ TEST(AdminPlaneTest, StatsReplyCarriesPerStagePercentiles) {
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {0.5f};
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client.Roundtrip(req).ok()) << "request " << i;
+    ASSERT_TRUE(client.Call({Command::kEstimate, req}).ok())
+        << "request " << i;
   }
 
-  util::Result<std::string> reply = client.Admin("stats", 31);
+  util::Result<ClientReply> reply =
+      client.Call({Command::kStats, {}, {"stats", 31}});
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  const std::string& line = reply.ValueOrDie();
+  const std::string& line = reply.ValueOrDie().body;
   EXPECT_NE(line.find("\"stats\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"tag\":31"), std::string::npos) << line;
   EXPECT_NE(line.find("\"requests\":8"), std::string::npos) << line;
@@ -417,11 +484,13 @@ TEST(AdminPlaneTest, StatsReplyCarriesPerStagePercentiles) {
   EXPECT_EQ(snap.traced, 8u);
 
   // {"cmd":"slow"} dumps the retained spans (threshold 0 keeps them all).
-  util::Result<std::string> slow = client.Admin("slow", 7);
+  util::Result<ClientReply> slow =
+      client.Call({Command::kSlow, {}, {"slow", 7}});
   ASSERT_TRUE(slow.ok()) << slow.status().ToString();
-  EXPECT_NE(slow.ValueOrDie().find("\"slow\":["), std::string::npos);
-  EXPECT_NE(slow.ValueOrDie().find("\"total_ms\""), std::string::npos);
-  EXPECT_NE(slow.ValueOrDie().find("\"tag\":7"), std::string::npos);
+  const std::string& spans = slow.ValueOrDie().body;
+  EXPECT_NE(spans.find("\"slow\":["), std::string::npos);
+  EXPECT_NE(spans.find("\"total_ms\""), std::string::npos);
+  EXPECT_NE(spans.find("\"tag\":7"), std::string::npos);
 
   EXPECT_GE(frontend.Stats().admin_requests, 2u);
 }
@@ -434,8 +503,12 @@ TEST(AdminPlaneTest, BadAdminLinesGetErrorRepliesAndConnectionSurvives) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", frontend.port()).ok());
 
-  // Unknown command.
-  util::Result<std::string> unknown = client.Admin("bogus", 3);
+  // Unknown command: a well-formed admin line naming no registry command.
+  AdminRequest bogus;
+  bogus.cmd = "bogus";
+  bogus.tag = 3;
+  ASSERT_TRUE(client.SendRaw(SerializeAdminRequest(bogus) + "\n").ok());
+  util::Result<std::string> unknown = client.ReadLine();
   ASSERT_TRUE(unknown.ok());
   EXPECT_NE(unknown.ValueOrDie().find("\"error\""), std::string::npos);
   EXPECT_NE(unknown.ValueOrDie().find("unknown admin cmd"), std::string::npos);
@@ -453,10 +526,10 @@ TEST(AdminPlaneTest, BadAdminLinesGetErrorRepliesAndConnectionSurvives) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
-  ASSERT_TRUE(client.Roundtrip(req).ok());
-  util::Result<std::string> stats = client.Admin("stats");
+  ASSERT_TRUE(client.Call({Command::kEstimate, req}).ok());
+  util::Result<ClientReply> stats = client.Call({Command::kStats});
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.ValueOrDie().find("\"stats\""), std::string::npos);
+  EXPECT_NE(stats.ValueOrDie().body.find("\"stats\""), std::string::npos);
 }
 
 TEST(AdminPlaneTest, FleetStatsMergeHistogramsAcrossShards) {
@@ -485,7 +558,8 @@ TEST(AdminPlaneTest, FleetStatsMergeHistogramsAcrossShards) {
   req.thresholds = {0.5f};
   for (int i = 0; i < 10; ++i) {
     req.model = i % 2 == 0 ? "a" : other;
-    ASSERT_TRUE(client.Roundtrip(req).ok()) << "request " << i;
+    ASSERT_TRUE(client.Call({Command::kEstimate, req}).ok())
+        << "request " << i;
   }
   registry.Drain();
 
@@ -501,11 +575,11 @@ TEST(AdminPlaneTest, FleetStatsMergeHistogramsAcrossShards) {
   EXPECT_GT(a.latency_hist.count, 0u);
   EXPECT_GT(b.latency_hist.count, 0u);
 
-  util::Result<std::string> reply = client.Admin("stats");
+  util::Result<ClientReply> reply = client.Call({Command::kStats});
   ASSERT_TRUE(reply.ok());
-  EXPECT_NE(reply.ValueOrDie().find("\"requests\":10"), std::string::npos)
-      << reply.ValueOrDie();
-  EXPECT_NE(reply.ValueOrDie().find("\"stages\""), std::string::npos);
+  const std::string& body = reply.ValueOrDie().body;
+  EXPECT_NE(body.find("\"requests\":10"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"stages\""), std::string::npos);
 }
 
 // ------------------------------- sharded serving over the wire + updates ---
@@ -585,12 +659,13 @@ TEST_F(NetShardFixture, WireMatchesInProcessAcrossShards) {
     for (size_t q = 0; q < 5; ++q) {
       EstimateRequest req =
           EstimateRequest::Sweep(wl_.queries.row(q), 4, ts, route);
-      util::Result<EstimateResponse> wire = client.Roundtrip(req);
+      util::Result<ClientReply> wire = client.Call({Command::kEstimate, req});
       ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-      EstimateResponse direct = registry_->Submit(req).get();
-      ASSERT_EQ(wire.ValueOrDie().estimates.size(), direct.estimates.size());
+      EstimateResponse direct = Await(*registry_, req);
+      const EstimateResponse& remote = wire.ValueOrDie().estimate;
+      ASSERT_EQ(remote.estimates.size(), direct.estimates.size());
       for (size_t k = 0; k < direct.estimates.size(); ++k) {
-        EXPECT_EQ(wire.ValueOrDie().estimates[k], direct.estimates[k])
+        EXPECT_EQ(remote.estimates[k], direct.estimates[k])
             << route << " q" << q << " t" << k;
       }
     }
@@ -617,13 +692,14 @@ TEST_F(NetShardFixture, SweepStaysMonotoneAcrossHotSwapOnAnotherShard) {
     util::Rng rng(5);
     while (!stop.load()) {
       size_t q = size_t(rng.UniformInt(0, int64_t(wl_.queries.rows()) - 1));
-      util::Result<EstimateResponse> resp = client.Roundtrip(
-          EstimateRequest::Sweep(wl_.queries.row(q), 4, ts, "primary"));
+      util::Result<ClientReply> resp = client.Call(
+          {Command::kEstimate,
+           EstimateRequest::Sweep(wl_.queries.row(q), 4, ts, "primary")});
       if (!resp.ok()) {
         failures.fetch_add(1);
         continue;
       }
-      const auto& est = resp.ValueOrDie().estimates;
+      const auto& est = resp.ValueOrDie().estimate.estimates;
       for (size_t i = 1; i < est.size(); ++i) {
         if (est[i] < est[i - 1]) violations.fetch_add(1);
       }
@@ -689,12 +765,12 @@ TEST_F(NetShardFixture, NetworkStormWithLivePipelineFailsNoQuery) {
                    : EstimateRequest::Point(wl_.queries.row(q), 4,
                                             wl_.tmax * float(rng.Uniform()),
                                             route);
-        util::Result<EstimateResponse> resp = client.Roundtrip(req);
+        util::Result<ClientReply> resp = client.Call({Command::kEstimate, req});
         if (!resp.ok()) {
           failures.fetch_add(1);
           continue;
         }
-        const auto& est = resp.ValueOrDie().estimates;
+        const auto& est = resp.ValueOrDie().estimate.estimates;
         for (size_t i = 0; i < est.size(); ++i) {
           if (!std::isfinite(est[i])) failures.fetch_add(1);
           if (i > 0 && est[i] < est[i - 1]) violations.fetch_add(1);
@@ -813,8 +889,8 @@ TEST(FrontendOverloadTest, ShedAtDecodeWritesOneTypedErrorLine) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::StatusCode::kUnavailable) << st.ToString();
 
-  // The typed-status mapping also works end to end through Roundtrip.
-  util::Result<EstimateResponse> rt = shed.Roundtrip(holder);
+  // The typed-status mapping also works end to end through Call.
+  util::Result<ClientReply> rt = shed.Call({Command::kEstimate, holder});
   ASSERT_FALSE(rt.ok());
   EXPECT_EQ(rt.status().code(), util::StatusCode::kUnavailable);
 

@@ -28,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/update_pipeline.h"
 #include "util/stopwatch.h"
+#include "serve_await.h"
 
 namespace selnet::serve {
 namespace {
@@ -299,6 +300,27 @@ Matrix FakePredict(const std::string& /*model*/, const Matrix& x,
   return FakePredictRows(x, t);
 }
 
+// One row through SubmitRows, with its estimate (or error) as a future.
+std::future<float> SubmitOneRow(BatchScheduler& scheduler, const float* x,
+                                float t, std::string model = "") {
+  auto promise = std::make_shared<std::promise<float>>();
+  std::future<float> result = promise->get_future();
+  std::vector<BatchScheduler::Row> rows(1);
+  rows[0].model = std::move(model);
+  rows[0].x.assign(x, x + scheduler.config().dim);
+  rows[0].t = t;
+  rows[0].done = [promise](float value, std::exception_ptr error,
+                           const BatchScheduler::RowTiming&) {
+    if (error) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(value);
+    }
+  };
+  scheduler.SubmitRows(std::move(rows));
+  return result;
+}
+
 TEST(BatchSchedulerTest, AnswersMatchUnbatchedComputation) {
   SchedulerConfig cfg;
   cfg.dim = 3;
@@ -308,7 +330,7 @@ TEST(BatchSchedulerTest, AnswersMatchUnbatchedComputation) {
   std::vector<std::future<float>> futures;
   for (int i = 0; i < 50; ++i) {
     float x[3] = {float(i), float(i) * 0.5f, -float(i)};
-    futures.push_back(scheduler.Submit(x, float(i) * 0.01f));
+    futures.push_back(SubmitOneRow(scheduler, x, float(i) * 0.01f));
   }
   for (int i = 0; i < 50; ++i) {
     float expected = float(i) + float(i) * 0.5f - float(i) +
@@ -331,7 +353,7 @@ TEST(BatchSchedulerTest, CoalescesRequestsIntoFewerBatches) {
   std::vector<std::future<float>> futures;
   for (int i = 0; i < 64; ++i) {
     float x[2] = {float(i), 0.0f};
-    futures.push_back(scheduler.Submit(x, 0.0f));
+    futures.push_back(SubmitOneRow(scheduler, x, 0.0f));
   }
   scheduler.Drain();
   for (auto& f : futures) f.get();
@@ -348,35 +370,9 @@ TEST(BatchSchedulerTest, MaxDelayFlushesPartialBatch) {
   cfg.max_delay_ms = 2.0;
   BatchScheduler scheduler(cfg, FakePredict);
   float x[1] = {1.5f};
-  std::future<float> f = scheduler.Submit(x, 0.0f);
+  std::future<float> f = SubmitOneRow(scheduler, x, 0.0f);
   EXPECT_EQ(f.wait_for(std::chrono::seconds(2)), std::future_status::ready);
   EXPECT_FLOAT_EQ(f.get(), 1.5f);
-}
-
-TEST(BatchSchedulerTest, CompletionHookSeesEveryRequest) {
-  SchedulerConfig cfg;
-  cfg.dim = 1;
-  cfg.max_batch = 4;
-  cfg.max_delay_ms = 1.0;
-  std::atomic<uint64_t> tag_sum{0};
-  std::atomic<size_t> completions{0};
-  BatchScheduler scheduler(
-      cfg, FakePredict,
-      [&](uint64_t tag, float /*value*/, double latency_ms) {
-        tag_sum.fetch_add(tag);
-        completions.fetch_add(1);
-        EXPECT_GE(latency_ms, 0.0);
-      });
-  std::vector<std::future<float>> futures;
-  uint64_t expected_sum = 0;
-  for (uint64_t i = 1; i <= 20; ++i) {
-    float x[1] = {0.0f};
-    futures.push_back(scheduler.Submit(x, 0.0f, i));
-    expected_sum += i;
-  }
-  scheduler.Drain();
-  EXPECT_EQ(completions.load(), 20u);
-  EXPECT_EQ(tag_sum.load(), expected_sum);
 }
 
 TEST(BatchSchedulerTest, BatchFnExceptionPropagatesToFutures) {
@@ -389,7 +385,7 @@ TEST(BatchSchedulerTest, BatchFnExceptionPropagatesToFutures) {
         throw std::runtime_error("model exploded");
       });
   float x[1] = {0.0f};
-  std::future<float> f = scheduler.Submit(x, 0.0f);
+  std::future<float> f = SubmitOneRow(scheduler, x, 0.0f);
   scheduler.Drain();
   EXPECT_THROW(f.get(), std::runtime_error);
 }
@@ -400,8 +396,48 @@ TEST(BatchSchedulerTest, SubmitAfterShutdownFailsFuture) {
   BatchScheduler scheduler(cfg, FakePredict);
   scheduler.Shutdown();
   float x[1] = {0.0f};
-  std::future<float> f = scheduler.Submit(x, 0.0f);
+  std::future<float> f = SubmitOneRow(scheduler, x, 0.0f);
   EXPECT_THROW(f.get(), std::runtime_error);
+}
+
+TEST(BatchSchedulerTest, RowsLeftPendingAfterAnInlineFlushStillFlush) {
+  // A SubmitRows call that finds rows already pending, fills a batch
+  // (dispatching it inline, which drops the lock for the pool handoff) and
+  // then leaves rows pending must still wake the flusher: it may have seen
+  // the emptied queue during the handoff and gone back to sleep. Sweeping
+  // the gap between the two calls across the flusher's delay makes the
+  // handoff race its timeout; a lost wake-up strands the last row.
+  util::ThreadPool pool(2);
+  SchedulerConfig cfg;
+  cfg.dim = 1;
+  cfg.max_batch = 2;
+  cfg.max_delay_ms = 0.05;
+  cfg.pool = &pool;
+  BatchScheduler scheduler(cfg, FakePredict);
+  for (int round = 0; round < 500; ++round) {
+    float x[1] = {float(round)};
+    std::vector<std::future<float>> futures;
+    futures.push_back(SubmitOneRow(scheduler, x, 0.0f));
+    const auto gap = std::chrono::steady_clock::now() +
+                     std::chrono::microseconds(round % 80);
+    while (std::chrono::steady_clock::now() < gap) {
+    }
+    std::vector<BatchScheduler::Row> rows(2);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      auto promise = std::make_shared<std::promise<float>>();
+      futures.push_back(promise->get_future());
+      rows[i].x = {x[0]};
+      rows[i].done = [promise](float value, std::exception_ptr,
+                               const BatchScheduler::RowTiming&) {
+        promise->set_value(value);
+      };
+    }
+    scheduler.SubmitRows(std::move(rows));
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(2)), std::future_status::ready)
+          << "row stranded in round " << round;
+    }
+  }
 }
 
 TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
@@ -427,7 +463,7 @@ TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
   for (int i = 0; i < 10; ++i) {
     float x[1] = {float(i)};
     futures.push_back(
-        scheduler.Submit(x, 0.0f, 0, i % 2 == 0 ? "a" : "b"));
+        SubmitOneRow(scheduler, x, 0.0f, i % 2 == 0 ? "a" : "b"));
   }
   scheduler.Drain();
   for (int i = 0; i < 10; ++i) {
@@ -447,7 +483,7 @@ TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
   EXPECT_LE(calls.size(), 10u);
 }
 
-TEST(BatchSchedulerTest, SubmitRowInvokesCallbackWithLatency) {
+TEST(BatchSchedulerTest, RowCallbackReceivesSplitTiming) {
   SchedulerConfig cfg;
   cfg.dim = 2;
   cfg.max_batch = 4;
@@ -457,19 +493,21 @@ TEST(BatchSchedulerTest, SubmitRowInvokesCallbackWithLatency) {
   std::atomic<double> latency{-1.0};
   std::atomic<double> queue_ms{-1.0};
   std::atomic<double> predict_ms{-1.0};
-  float x[2] = {2.0f, 3.0f};
-  scheduler.SubmitRow("", x, 0.5f,
-                      [&](float value, std::exception_ptr error,
-                          const BatchScheduler::RowTiming& timing) {
-                        latency.store(timing.latency_ms);
-                        queue_ms.store(timing.queue_ms);
-                        predict_ms.store(timing.predict_ms);
-                        if (error) {
-                          value_promise.set_exception(error);
-                        } else {
-                          value_promise.set_value(value);
-                        }
-                      });
+  std::vector<BatchScheduler::Row> rows(1);
+  rows[0].x = {2.0f, 3.0f};
+  rows[0].t = 0.5f;
+  rows[0].done = [&](float value, std::exception_ptr error,
+                     const BatchScheduler::RowTiming& timing) {
+    latency.store(timing.latency_ms);
+    queue_ms.store(timing.queue_ms);
+    predict_ms.store(timing.predict_ms);
+    if (error) {
+      value_promise.set_exception(error);
+    } else {
+      value_promise.set_value(value);
+    }
+  };
+  scheduler.SubmitRows(std::move(rows));
   scheduler.Drain();
   EXPECT_FLOAT_EQ(value_promise.get_future().get(), 2.0f + 3.0f + 5.0f);
   EXPECT_GE(latency.load(), 0.0);
@@ -607,16 +645,17 @@ TEST_F(ServeFixture, BatchedResultsIdenticalToUnbatchedPredict) {
   server.Publish(model_);
   data::Batch b = data::MaterializeAll(wl_.queries, wl_.test);
 
-  std::vector<std::future<float>> futures;
+  std::vector<std::future<EstimateResponse>> futures;
   for (size_t i = 0; i < b.x.rows(); ++i) {
-    futures.push_back(server.EstimateAsync(b.x.row(i), b.t(i, 0)));
+    futures.push_back(
+        SubmitAsync(server, EstimateRequest::Point(b.x.row(i), 6, b.t(i, 0))));
   }
   // Reference: direct single-row Predict outside the serving stack.
   for (size_t i = 0; i < b.x.rows(); ++i) {
     Matrix x1 = b.x.RowSlice(i, i + 1);
     Matrix t1 = b.t.RowSlice(i, i + 1);
     float expected = model_->Predict(x1, t1)(0, 0);
-    EXPECT_EQ(futures[i].get(), expected) << "row " << i;
+    EXPECT_EQ(futures[i].get().estimates[0], expected) << "row " << i;
   }
   EXPECT_GT(server.stats().Snapshot().batches, 0u);
 }
@@ -625,11 +664,11 @@ TEST_F(ServeFixture, RepeatQueryHitsCache) {
   SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
   server.Publish(model_);
   const float* q = wl_.queries.row(0);
-  auto first = server.Estimate(q, 0.5f * wl_.tmax);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = server.Estimate(q, 0.5f * wl_.tmax);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.ValueOrDie(), second.ValueOrDie());
+  EstimateResponse first =
+      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax));
+  EstimateResponse second =
+      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax));
+  EXPECT_EQ(first.estimates[0], second.estimates[0]);
   EXPECT_EQ(server.cache().hits(), 1u);
   EXPECT_EQ(server.stats().Snapshot().cache_hits, 1u);
 }
@@ -637,9 +676,8 @@ TEST_F(ServeFixture, RepeatQueryHitsCache) {
 TEST_F(ServeFixture, EstimateWithoutModelIsNotFound) {
   SelNetServer server(MakeServerConfig(true, true));
   float x[6] = {0};
-  auto result = server.Estimate(x, 0.5f);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
+  EXPECT_THROW(Await(server, EstimateRequest::Point(x, 6, 0.5f)),
+               RouteNotFoundError);
 }
 
 TEST_F(ServeFixture, SweepIsMonotoneInThreshold) {
@@ -647,9 +685,9 @@ TEST_F(ServeFixture, SweepIsMonotoneInThreshold) {
   server.Publish(model_);
   std::vector<float> ts;
   for (int i = 0; i < 12; ++i) ts.push_back(wl_.tmax * float(i) / 11.0f);
-  auto sweep = server.EstimateSweep(wl_.queries.row(1), ts);
-  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-  const std::vector<float>& y = sweep.ValueOrDie();
+  const std::vector<float> y =
+      Await(server, EstimateRequest::Sweep(wl_.queries.row(1), 6, ts))
+          .estimates;
   ASSERT_EQ(y.size(), ts.size());
   for (size_t i = 1; i < y.size(); ++i) {
     EXPECT_GE(y[i] + 1e-3f, y[i - 1]) << "sweep not monotone at " << i;
@@ -708,8 +746,11 @@ TEST_F(ServeFixture, HotSwapUnderConcurrentLoadFailsNoQuery) {
         size_t qi = static_cast<size_t>(
             rng.UniformInt(0, int64_t(wl_.queries.rows()) - 1));
         float t = wl_.tmax * float(rng.Uniform());
-        auto result = server.Estimate(wl_.queries.row(qi), t);
-        if (!result.ok() || !std::isfinite(result.ValueOrDie())) {
+        try {
+          EstimateResponse resp = Await(
+              server, EstimateRequest::Point(wl_.queries.row(qi), 6, t));
+          if (!std::isfinite(resp.estimates[0])) failed.fetch_add(1);
+        } catch (const std::exception&) {
           failed.fetch_add(1);
         }
         answered.fetch_add(1);
@@ -767,9 +808,9 @@ TEST_F(ServeFixture, SweepFastPathBitIdenticalToRowExpansion) {
   fast_server.Publish(model_);
   slow_server.Publish(model_);
   EstimateResponse a =
-      fast_server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(fast_server, EstimateRequest::Sweep(q, 6, ts));
   EstimateResponse b =
-      slow_server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(slow_server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_TRUE(a.fast_path);
   EXPECT_FALSE(b.fast_path);
   ASSERT_EQ(a.estimates.size(), b.estimates.size());
@@ -804,7 +845,7 @@ TEST_F(ServeFixture, PartitionedSweepEstimateMatchesPredict) {
   SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
   server.Publish(model);
   EstimateResponse resp =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_TRUE(resp.fast_path);
   for (size_t r = 0; r < ts.size(); ++r) {
     EXPECT_EQ(resp.estimates[r], expanded(r, 0));
@@ -833,14 +874,14 @@ TEST_F(ServeFixture, ServedKdeBaselineAnswersThroughSameEndpoint) {
   t1(0, 0) = ts[2];
   float direct = kde->Predict(x1, t1)(0, 0);
   EstimateResponse scalar =
-      server.Submit(EstimateRequest::Point(q, 6, ts[2], "kde")).get();
+      Await(server, EstimateRequest::Point(q, 6, ts[2], "kde"));
   EXPECT_EQ(scalar.estimates[0], direct);
   EXPECT_EQ(scalar.model, "kde");
 
   // A sweep through the KDE route row-expands (no SweepCapable) but still
   // returns a monotone column — KDE is a consistent estimator.
   EstimateResponse sweep =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts, "kde")).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts, "kde"));
   EXPECT_FALSE(sweep.fast_path);
   ASSERT_EQ(sweep.estimates.size(), ts.size());
   for (size_t i = 1; i < sweep.estimates.size(); ++i) {
@@ -849,7 +890,7 @@ TEST_F(ServeFixture, ServedKdeBaselineAnswersThroughSameEndpoint) {
 
   // A/B in one line each: same query, same thresholds, different route.
   EstimateResponse selnet_resp =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_NE(selnet_resp.version, sweep.version);
   EXPECT_EQ(selnet_resp.model, "default");
   server.Drain();
@@ -885,9 +926,8 @@ TEST_F(ServeFixture, SweepMonotoneUnderConcurrentHotSwap) {
         size_t qi = static_cast<size_t>(
             rng.UniformInt(0, int64_t(wl_.queries.rows()) - 1));
         try {
-          EstimateResponse resp =
-              server.Submit(EstimateRequest::Sweep(wl_.queries.row(qi), 6, ts))
-                  .get();
+          EstimateResponse resp = Await(
+              server, EstimateRequest::Sweep(wl_.queries.row(qi), 6, ts));
           for (size_t i = 1; i < resp.estimates.size(); ++i) {
             if (resp.estimates[i] < resp.estimates[i - 1]) {
               violations.fetch_add(1);
@@ -920,10 +960,10 @@ TEST_F(ServeFixture, FullyCachedSweepResolvesWithoutModelWork) {
   for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
   const float* q = wl_.queries.row(5);
   EstimateResponse first =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_EQ(first.cache_hits, 0u);
   EstimateResponse second =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_EQ(second.cache_hits, ts.size());
   EXPECT_FALSE(second.fast_path);  // Nothing was missing.
   ASSERT_EQ(first.estimates.size(), second.estimates.size());
@@ -945,10 +985,10 @@ TEST_F(ServeFixture, FastPathSweepInsertsHitLaterPointRequest) {
   for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
   const float* q = wl_.queries.row(7);
   EstimateResponse sweep =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   ASSERT_TRUE(sweep.fast_path);
   EstimateResponse point =
-      server.Submit(EstimateRequest::Point(q, 6, ts[3])).get();
+      Await(server, EstimateRequest::Point(q, 6, ts[3]));
   EXPECT_EQ(point.cache_hits, 1u);
   EXPECT_EQ(Bits(point.estimates[0]), Bits(sweep.estimates[3]));
 }
@@ -958,12 +998,12 @@ TEST_F(ServeFixture, ScheduledPointInsertIsHitByLaterSweep) {
   server.Publish(model_);
   const float* q = wl_.queries.row(8);
   const float t = 0.5f * wl_.tmax;
-  EstimateResponse point = server.Submit(EstimateRequest::Point(q, 6, t)).get();
+  EstimateResponse point = Await(server, EstimateRequest::Point(q, 6, t));
   ASSERT_EQ(point.cache_hits, 0u);
   ASSERT_GT(server.stats().Snapshot().batches, 0u);  // Via PredictOnHandle.
   std::vector<float> ts = {0.25f * wl_.tmax, t, 0.75f * wl_.tmax};
   EstimateResponse sweep =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_EQ(sweep.cache_hits, 1u);
   EXPECT_EQ(Bits(sweep.estimates[1]), Bits(point.estimates[0]));
 }
@@ -976,12 +1016,12 @@ TEST_F(ServeFixture, MalformedRequestFailsFutureNotServer) {
   EstimateRequest bad_dim;
   bad_dim.x.assign(3, 0.0f);  // dim is 6.
   bad_dim.thresholds.assign(1, 0.5f);
-  EXPECT_THROW(server.Submit(std::move(bad_dim)).get(), std::invalid_argument);
+  EXPECT_THROW(Await(server, std::move(bad_dim)), std::invalid_argument);
   EstimateRequest no_ts;
   no_ts.x.assign(6, 0.0f);
-  EXPECT_THROW(server.Submit(std::move(no_ts)).get(), std::invalid_argument);
-  auto ok = server.Estimate(wl_.queries.row(0), 0.5f * wl_.tmax);
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_THROW(Await(server, std::move(no_ts)), std::invalid_argument);
+  EXPECT_NO_THROW(Await(
+      server, EstimateRequest::Point(wl_.queries.row(0), 6, 0.5f * wl_.tmax)));
 }
 
 // A SweepCapable implementation that violates its contract (returns count-1
@@ -1008,21 +1048,11 @@ TEST_F(ServeFixture, BrokenSweepCapableModelFailsRequestNotServer) {
   std::vector<float> ts = {0.1f, 0.2f, 0.3f, 0.4f};
   const float* q = wl_.queries.row(0);
   EXPECT_THROW(
-      server.Submit(EstimateRequest::Sweep(q, 6, ts, "broken")).get(),
+      Await(server, EstimateRequest::Sweep(q, 6, ts, "broken")),
       std::runtime_error);
   // The healthy route keeps answering.
-  auto ok = server.Estimate(q, 0.5f * wl_.tmax);
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
-}
-
-TEST_F(ServeFixture, EstimateAsyncFutureReportsReady) {
-  // The shim must return a real future: wait_for eventually says ready (a
-  // deferred future would report deferred forever and break pollers).
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
-  server.Publish(model_);
-  std::future<float> f = server.EstimateAsync(wl_.queries.row(0), 0.5f);
-  EXPECT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
-  EXPECT_TRUE(std::isfinite(f.get()));
+  EXPECT_NO_THROW(
+      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax)));
 }
 
 TEST_F(ServeFixture, RepublishAfterWeightMutationServesNoStalePacks) {
@@ -1035,9 +1065,10 @@ TEST_F(ServeFixture, RepublishAfterWeightMutationServesNoStalePacks) {
   server.Publish(model_);
   data::Batch b = data::MaterializeAll(wl_.queries, wl_.test);
   {
-    std::vector<std::future<float>> warm;
+    std::vector<std::future<EstimateResponse>> warm;
     for (size_t i = 0; i < b.x.rows(); ++i) {
-      warm.push_back(server.EstimateAsync(b.x.row(i), b.t(i, 0)));
+      warm.push_back(SubmitAsync(
+          server, EstimateRequest::Point(b.x.row(i), 6, b.t(i, 0))));
     }
     for (auto& f : warm) f.get();  // Packs are now warm for this version.
   }
@@ -1048,15 +1079,17 @@ TEST_F(ServeFixture, RepublishAfterWeightMutationServesNoStalePacks) {
   model_->InvalidateInferenceCache();  // The update/publish boundary.
   server.Publish(model_);
 
-  std::vector<std::future<float>> futures;
+  std::vector<std::future<EstimateResponse>> futures;
   for (size_t i = 0; i < b.x.rows(); ++i) {
-    futures.push_back(server.EstimateAsync(b.x.row(i), b.t(i, 0)));
+    futures.push_back(
+        SubmitAsync(server, EstimateRequest::Point(b.x.row(i), 6, b.t(i, 0))));
   }
   for (size_t i = 0; i < b.x.rows(); ++i) {
     Matrix x1 = b.x.RowSlice(i, i + 1);
     Matrix t1 = b.t.RowSlice(i, i + 1);
     float expected = model_->Predict(x1, t1)(0, 0);
-    EXPECT_EQ(futures[i].get(), expected) << "stale pack at row " << i;
+    EXPECT_EQ(futures[i].get().estimates[0], expected)
+        << "stale pack at row " << i;
   }
 }
 
@@ -1072,22 +1105,21 @@ TEST_F(ServeFixture, CurveCacheAnswersNewThresholdsWithoutNetwork) {
     ts1.push_back(wl_.tmax * float(i) / 5.0f);
     ts2.push_back(wl_.tmax * (float(i) - 0.5f) / 5.0f);  // Disjoint from ts1.
   }
-  auto first = server.EstimateSweep(q, ts1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Await(server, EstimateRequest::Sweep(q, 6, ts1));
   EXPECT_EQ(server.cache().curve_size(), 1u);  // Curve stored on the miss.
 
   // New thresholds: every scalar-cache lookup misses, but the cached curve
   // answers without touching the network — bit-identical to the model's own
   // sweep path (same control points, same PWL arithmetic).
-  auto second = server.EstimateSweep(q, ts2);
-  ASSERT_TRUE(second.ok());
+  const std::vector<float> second =
+      Await(server, EstimateRequest::Sweep(q, 6, ts2)).estimates;
   EXPECT_GE(server.cache().curve_hits(), 1u);
   EXPECT_GE(server.stats().Snapshot().curve_hits, 1u);
   std::vector<float> expected =
       model_->SweepEstimate(q, ts2.data(), ts2.size());
-  ASSERT_EQ(second.ValueOrDie().size(), expected.size());
+  ASSERT_EQ(second.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(second.ValueOrDie()[i], expected[i]) << "threshold " << i;
+    EXPECT_EQ(second[i], expected[i]) << "threshold " << i;
   }
 }
 
@@ -1099,8 +1131,8 @@ TEST_F(ServeFixture, CurveCacheIsVersionKeyedAcrossHotSwap) {
   const float* q = wl_.queries.row(3);
   std::vector<float> ts = {0.25f * wl_.tmax, 0.5f * wl_.tmax,
                            0.75f * wl_.tmax};
-  auto before = server.EstimateSweep(q, ts);
-  ASSERT_TRUE(before.ok());
+  const std::vector<float> before =
+      Await(server, EstimateRequest::Sweep(q, 6, ts)).estimates;
 
   for (const auto& p : model_->Params()) {
     p->value.Apply([](float v) { return v * 1.2f + 0.05f; });
@@ -1108,13 +1140,13 @@ TEST_F(ServeFixture, CurveCacheIsVersionKeyedAcrossHotSwap) {
   model_->InvalidateInferenceCache();
   server.Publish(model_);  // New version: old curve entries can never match.
 
-  auto after = server.EstimateSweep(q, ts);
-  ASSERT_TRUE(after.ok());
+  const std::vector<float> after =
+      Await(server, EstimateRequest::Sweep(q, 6, ts)).estimates;
   std::vector<float> expected = model_->SweepEstimate(q, ts.data(), ts.size());
   bool any_diff = false;
   for (size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(after.ValueOrDie()[i], expected[i]) << "threshold " << i;
-    if (after.ValueOrDie()[i] != before.ValueOrDie()[i]) any_diff = true;
+    EXPECT_EQ(after[i], expected[i]) << "threshold " << i;
+    if (after[i] != before[i]) any_diff = true;
   }
   EXPECT_TRUE(any_diff) << "weight mutation should have changed the sweep";
 }
@@ -1134,11 +1166,11 @@ TEST_F(ServeFixture, PerRouteStatsSplitRequestsByModel) {
 
   const float* q = wl_.queries.row(0);
   float t = 0.5f * wl_.tmax;
-  ASSERT_TRUE(server.Estimate(q, t).ok());
-  ASSERT_TRUE(server.Estimate(q, t).ok());  // Repeat: default-route cache hit.
+  Await(server, EstimateRequest::Point(q, 6, t));
+  Await(server, EstimateRequest::Point(q, 6, t));  // Default-route cache hit.
   std::vector<float> ts = {0.2f * wl_.tmax, 0.4f * wl_.tmax, 0.6f * wl_.tmax,
                            0.8f * wl_.tmax};
-  server.Submit(EstimateRequest::Sweep(q, 6, ts, "kde")).get();
+  Await(server, EstimateRequest::Sweep(q, 6, ts, "kde"));
   server.Drain();
 
   StatsSnapshot s = server.stats().Snapshot();
@@ -1231,9 +1263,9 @@ TEST_F(ServeFixture, PipelineIngestsAppliesAndRepublishes) {
 
   // Queries still answer on the new version, and the original model object
   // was never touched (the pipeline trains clones only).
-  auto est = server.Estimate(wl_.queries.row(1), 0.5f * wl_.tmax);
-  ASSERT_TRUE(est.ok()) << est.status().ToString();
-  EXPECT_TRUE(std::isfinite(est.ValueOrDie()));
+  EstimateResponse est = Await(
+      server, EstimateRequest::Point(wl_.queries.row(1), 6, 0.5f * wl_.tmax));
+  EXPECT_TRUE(std::isfinite(est.estimates[0]));
 }
 
 TEST_F(ServeFixture, PipelinePublishStormUnderSubmitLoadFailsNoQuery) {
@@ -1265,10 +1297,8 @@ TEST_F(ServeFixture, PipelinePublishStormUnderSubmitLoadFailsNoQuery) {
             rng.UniformInt(0, int64_t(wl_.queries.rows()) - 1));
         try {
           if (c == 0) {  // One client sweeps, two send scalars.
-            EstimateResponse resp =
-                server.Submit(EstimateRequest::Sweep(wl_.queries.row(qi), 6,
-                                                     ts))
-                    .get();
+            EstimateResponse resp = Await(
+                server, EstimateRequest::Sweep(wl_.queries.row(qi), 6, ts));
             for (size_t i = 0; i < resp.estimates.size(); ++i) {
               if (!std::isfinite(resp.estimates[i])) failures.fetch_add(1);
               if (i > 0 && resp.estimates[i] < resp.estimates[i - 1]) {
@@ -1277,10 +1307,9 @@ TEST_F(ServeFixture, PipelinePublishStormUnderSubmitLoadFailsNoQuery) {
             }
           } else {
             float t = wl_.tmax * float(rng.Uniform());
-            auto est = server.Estimate(wl_.queries.row(qi), t);
-            if (!est.ok() || !std::isfinite(est.ValueOrDie())) {
-              failures.fetch_add(1);
-            }
+            EstimateResponse est = Await(
+                server, EstimateRequest::Point(wl_.queries.row(qi), 6, t));
+            if (!std::isfinite(est.estimates[0])) failures.fetch_add(1);
           }
         } catch (...) {
           failures.fetch_add(1);
@@ -1428,13 +1457,13 @@ TEST(AdmissionServeTest, SaturationShedsTypedAndAccountsPerReason) {
   float x[2] = {0.1f, 0.2f};
   std::vector<std::future<EstimateResponse>> admitted;
   for (int i = 0; i < 4; ++i) {
-    admitted.push_back(server.Submit(EstimateRequest::Point(x, 2, 0.5f)));
+    admitted.push_back(SubmitAsync(server, EstimateRequest::Point(x, 2, 0.5f)));
   }
   // Budget exhausted: every further submit is a TYPED rejection, delivered
   // synchronously (no scheduler queue, no pool worker).
   for (int i = 0; i < 3; ++i) {
     try {
-      server.Submit(EstimateRequest::Point(x, 2, 0.5f)).get();
+      Await(server, EstimateRequest::Point(x, 2, 0.5f));
       FAIL() << "expected OverloadError";
     } catch (const OverloadError& e) {
       EXPECT_EQ(e.reason(), ShedReason::kQueueFull);
@@ -1481,7 +1510,7 @@ TEST(AdmissionServeTest, PriorityClassesShedLowBeforeHigh) {
   float x[2] = {0.3f, 0.4f};
   std::vector<std::future<EstimateResponse>> admitted;
   auto submit = [&](const std::string& route) {
-    return server.Submit(EstimateRequest::Point(x, 2, 0.5f, route));
+    return SubmitAsync(server, EstimateRequest::Point(x, 2, 0.5f, route));
   };
   // Low class fills to its 50% watermark, then sheds kPriorityShed while
   // the high class still gets the rest of the budget.
@@ -1526,7 +1555,7 @@ TEST(AdmissionServeTest, ExpiredRowsDropBeforePredictWithTypedError) {
 
   float x[2] = {0.5f, 0.6f};
   // Request A occupies the only worker inside Predict.
-  auto blocked = server.Submit(EstimateRequest::Point(x, 2, 0.5f));
+  auto blocked = SubmitAsync(server, EstimateRequest::Point(x, 2, 0.5f));
   while (blocking->started() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -1535,7 +1564,7 @@ TEST(AdmissionServeTest, ExpiredRowsDropBeforePredictWithTypedError) {
   EstimateRequest doomed = EstimateRequest::Point(x, 2, 0.5f);
   doomed.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  auto expired = server.Submit(std::move(doomed));
+  auto expired = SubmitAsync(server, std::move(doomed));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   blocking->Release();
 
@@ -1568,7 +1597,7 @@ TEST(AdmissionServeTest, AlreadyExpiredDeadlineShedsAtSubmit) {
   req.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   try {
-    server.Submit(std::move(req)).get();
+    Await(server, std::move(req));
     FAIL() << "expected OverloadError";
   } catch (const OverloadError& e) {
     EXPECT_EQ(e.reason(), ShedReason::kDeadlineExpired);
@@ -1594,12 +1623,13 @@ TEST_F(ServeFixture, DegradedRouteServesCachedCurveBitIdentically) {
   std::vector<float> ts = {0.2f * wl_.tmax, 0.5f * wl_.tmax, 0.8f * wl_.tmax};
   // Prime: an admitted sweep populates the version-keyed curve cache.
   EstimateResponse primed =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_FALSE(primed.degraded);
 
   // Exhaust the budget (size 1) with a request parked inside Predict...
   float xb[6] = {0};
-  auto blocked = server.Submit(EstimateRequest::Point(xb, 6, 0.5f, "block"));
+  auto blocked =
+      SubmitAsync(server, EstimateRequest::Point(xb, 6, 0.5f, "block"));
   while (blocking->started() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -1607,7 +1637,7 @@ TEST_F(ServeFixture, DegradedRouteServesCachedCurveBitIdentically) {
   // curve is cached, answered DEGRADED: local PWL lookups, bit-identical to
   // the primed fast-path answer, zero model compute.
   EstimateResponse degraded =
-      server.Submit(EstimateRequest::Sweep(q, 6, ts)).get();
+      Await(server, EstimateRequest::Sweep(q, 6, ts));
   EXPECT_TRUE(degraded.degraded);
   EXPECT_EQ(degraded.version, primed.version);
   ASSERT_EQ(degraded.estimates.size(), primed.estimates.size());
@@ -1618,7 +1648,7 @@ TEST_F(ServeFixture, DegradedRouteServesCachedCurveBitIdentically) {
   // A shed on a route whose curve is NOT cached still fails typed.
   float other[6] = {9.0f, 9.0f, 9.0f, 9.0f, 9.0f, 9.0f};
   try {
-    server.Submit(EstimateRequest::Sweep(other, 6, ts)).get();
+    Await(server, EstimateRequest::Sweep(other, 6, ts));
     FAIL() << "expected OverloadError";
   } catch (const OverloadError& e) {
     EXPECT_EQ(e.reason(), ShedReason::kQueueFull);

@@ -18,6 +18,7 @@
 #include "serve/update_pipeline.h"
 #include "util/histogram.h"
 #include "util/stopwatch.h"
+#include "serve_await.h"
 
 namespace selnet::serve {
 namespace {
@@ -145,8 +146,7 @@ TEST(ShardedRegistryTest, SubmitAnswersMatchDirectModel) {
   float x[4] = {0.1f, 0.2f, 0.3f, 0.4f};
   for (int i = 0; i < 6; ++i) {
     EstimateResponse resp =
-        reg.Submit(EstimateRequest::Point(x, 4, 0.5f, "m" + std::to_string(i)))
-            .get();
+        Await(reg, EstimateRequest::Point(x, 4, 0.5f, "m" + std::to_string(i)));
     float expected = float(100 * i) + (0.1f + 0.2f + 0.3f + 0.4f) + 0.5f;
     ASSERT_EQ(resp.estimates.size(), 1u);
     EXPECT_FLOAT_EQ(resp.estimates[0], expected) << "route m" << i;
@@ -163,9 +163,9 @@ TEST(ShardedRegistryTest, DefaultRouteResolvesBeforeHashing) {
   EXPECT_EQ(reg.ShardOf(""), reg.ShardOf("primary"));
   float x[4] = {0.0f, 0.0f, 0.0f, 0.0f};
   EstimateResponse via_empty =
-      reg.Submit(EstimateRequest::Point(x, 4, 1.0f)).get();
+      Await(reg, EstimateRequest::Point(x, 4, 1.0f));
   EstimateResponse via_name =
-      reg.Submit(EstimateRequest::Point(x, 4, 1.0f, "primary")).get();
+      Await(reg, EstimateRequest::Point(x, 4, 1.0f, "primary"));
   EXPECT_EQ(via_empty.estimates[0], via_name.estimates[0]);
   EXPECT_EQ(via_empty.version, via_name.version);
 }
@@ -174,11 +174,11 @@ TEST(ShardedRegistryTest, UnknownRouteFailsRequestNotProcess) {
   ShardedRegistry reg(MakeConfig(2));
   reg.Publish("known", std::make_shared<AffineEstimator>(0.0f));
   float x[4] = {0};
-  auto fut = reg.Submit(EstimateRequest::Point(x, 4, 0.5f, "nope"));
+  auto fut = SubmitAsync(reg, EstimateRequest::Point(x, 4, 0.5f, "nope"));
   EXPECT_THROW(fut.get(), std::runtime_error);
   // The fleet still serves.
   EstimateResponse ok =
-      reg.Submit(EstimateRequest::Point(x, 4, 0.5f, "known")).get();
+      Await(reg, EstimateRequest::Point(x, 4, 0.5f, "known"));
   EXPECT_EQ(ok.estimates.size(), 1u);
 }
 
@@ -206,12 +206,13 @@ TEST(ShardedRegistryTest, HotShardDoesNotStallOtherShards) {
   // Keep the slow shard permanently busy.
   std::vector<std::future<EstimateResponse>> slow;
   for (int i = 0; i < 8; ++i) {
-    slow.push_back(reg.Submit(EstimateRequest::Point(x, 4, 0.1f, slow_route)));
+    slow.push_back(
+        SubmitAsync(reg, EstimateRequest::Point(x, 4, 0.1f, slow_route)));
   }
   // Fast-shard requests while the slow shard grinds.
   util::Stopwatch watch;
   for (int i = 0; i < 5; ++i) {
-    reg.Submit(EstimateRequest::Point(x, 4, 0.1f, fast_route)).get();
+    Await(reg, EstimateRequest::Point(x, 4, 0.1f, fast_route));
   }
   double fast_ms = watch.ElapsedMillis();
   // 8 slow batches x 80ms each = 640ms of queued slow work; the fast route
@@ -228,8 +229,8 @@ TEST(ShardedRegistryTest, PerShardStatsAggregate) {
   float x[4] = {0.1f, 0.1f, 0.1f, 0.1f};
   const int kPer = 10;
   for (int i = 0; i < kPer; ++i) {
-    reg.Submit(EstimateRequest::Point(x, 4, 0.2f, "a")).get();
-    reg.Submit(EstimateRequest::Point(x, 4, 0.2f, "b")).get();
+    Await(reg, EstimateRequest::Point(x, 4, 0.2f, "a"));
+    Await(reg, EstimateRequest::Point(x, 4, 0.2f, "b"));
   }
   reg.Drain();
   std::vector<StatsSnapshot> per_shard = reg.ShardSnapshots();
@@ -328,7 +329,7 @@ TEST(ShardedRegistryTest, HotSwapStaysShardLocal) {
   EXPECT_GE(reg.shard(swap_shard).registry().VersionOf(swapped), 2u);
   float x[4] = {0};
   EstimateResponse resp =
-      reg.Submit(EstimateRequest::Point(x, 4, 0.0f, swapped)).get();
+      Await(reg, EstimateRequest::Point(x, 4, 0.0f, swapped));
   EXPECT_FLOAT_EQ(resp.estimates[0], 2.0f);  // New snapshot serves.
 }
 
@@ -403,8 +404,7 @@ TEST_F(ShardPipelineFixture, PipelineRepublishesOnOwningShard) {
   std::vector<float> ts;
   for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
   EstimateResponse resp =
-      reg.Submit(EstimateRequest::Sweep(wl_.queries.row(0), 4, ts, route))
-          .get();
+      Await(reg, EstimateRequest::Sweep(wl_.queries.row(0), 4, ts, route));
   for (size_t i = 1; i < resp.estimates.size(); ++i) {
     EXPECT_GE(resp.estimates[i], resp.estimates[i - 1]);
   }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,6 +18,7 @@
 #include "serve/wire_binary.h"
 #include "util/net.h"
 #include "util/rng.h"
+#include "serve_await.h"
 
 // The binary wire path end to end: the frame codec (bit-exact floats,
 // hostile-input rejection), the command registry, per-connection protocol
@@ -105,6 +107,34 @@ TEST(BinaryCodecTest, DeadlineTravelsAsRelativeBudget) {
                          .count();
   EXPECT_GT(budget_ms, 450.0);
   EXPECT_LT(budget_ms, 550.0);
+
+  // Hostile budgets patched into the same frame (flags u8 + empty route
+  // precede the f32). Budgets the clock cannot represent never expire, NaN
+  // is a typed decode error, and a non-positive budget is already expired.
+  auto decode_budget = [&](float budget, EstimateRequest* out) {
+    uint32_t bits;
+    std::memcpy(&bits, &budget, sizeof(bits));
+    std::string hostile = buf;
+    for (size_t b = 0; b < 4; ++b) {
+      hostile[kFrameHeaderBytes + 2 + b] = char((bits >> (8 * b)) & 0xff);
+    }
+    return DecodeRequestPayload(hostile.data() + kFrameHeaderBytes,
+                                hdr.payload_len, decode_now, out);
+  };
+  for (float budget : {1e13f, std::numeric_limits<float>::infinity()}) {
+    EstimateRequest forever;
+    ASSERT_TRUE(decode_budget(budget, &forever).ok()) << budget;
+    EXPECT_EQ(forever.deadline, std::chrono::steady_clock::time_point::max())
+        << budget;
+  }
+  EstimateRequest nan_budget;
+  util::Status nan_status = decode_budget(
+      std::numeric_limits<float>::quiet_NaN(), &nan_budget);
+  EXPECT_EQ(nan_status.code(), util::StatusCode::kInvalidArgument);
+  EstimateRequest expired;
+  ASSERT_TRUE(decode_budget(-1.0f, &expired).ok());
+  ASSERT_TRUE(expired.has_deadline());
+  EXPECT_LE(expired.deadline, decode_now);
 }
 
 TEST(BinaryCodecTest, ResponseFrameRoundTripsBitIdentically) {
@@ -369,17 +399,18 @@ TEST_F(BinaryFrontendFixture, BinaryRoundtripMatchesInProcessBitIdentically) {
     }
     req.tag = uint64_t(i + 1);
 
-    util::Result<EstimateResponse> wire = client_.Roundtrip(req);
+    util::Result<ClientReply> wire = client_.Call({Command::kEstimate, req});
     ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-    EstimateResponse direct = server_->Submit(req).get();
-    ASSERT_EQ(wire.ValueOrDie().estimates.size(), direct.estimates.size());
+    EstimateResponse direct = Await(*server_, req);
+    const EstimateResponse& remote = wire.ValueOrDie().estimate;
+    ASSERT_EQ(remote.estimates.size(), direct.estimates.size());
     for (size_t k = 0; k < direct.estimates.size(); ++k) {
       // The acceptance bar: raw IEEE-754 words over the wire, EXPECT_EQ.
-      EXPECT_EQ(wire.ValueOrDie().estimates[k], direct.estimates[k])
+      EXPECT_EQ(remote.estimates[k], direct.estimates[k])
           << "request " << i << " threshold " << k;
     }
-    EXPECT_EQ(wire.ValueOrDie().tag, req.tag);
-    EXPECT_EQ(wire.ValueOrDie().model, direct.model);
+    EXPECT_EQ(remote.tag, req.tag);
+    EXPECT_EQ(remote.model, direct.model);
   }
   FrontendStats stats = frontend_->Stats();
   EXPECT_EQ(stats.requests, 20u);
@@ -400,13 +431,15 @@ TEST_F(BinaryFrontendFixture, MixedJsonAndBinaryConnectionsCoexist) {
   req.thresholds = {1.0f};
   for (int i = 0; i < 10; ++i) {
     req.tag = uint64_t(100 + i);
-    util::Result<EstimateResponse> b = client_.Roundtrip(req);
-    util::Result<EstimateResponse> j = json.Roundtrip(req);
+    util::Result<ClientReply> b = client_.Call({Command::kEstimate, req});
+    util::Result<ClientReply> j = json.Call({Command::kEstimate, req});
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ASSERT_TRUE(j.ok()) << j.status().ToString();
     // Same request, same backend: both framings must produce the same bits.
-    ASSERT_EQ(b.ValueOrDie().estimates.size(), j.ValueOrDie().estimates.size());
-    EXPECT_EQ(b.ValueOrDie().estimates[0], j.ValueOrDie().estimates[0]);
+    const EstimateResponse& bin = b.ValueOrDie().estimate;
+    const EstimateResponse& text = j.ValueOrDie().estimate;
+    ASSERT_EQ(bin.estimates.size(), text.estimates.size());
+    EXPECT_EQ(bin.estimates[0], text.estimates[0]);
   }
   EXPECT_EQ(frontend_->Stats().requests, 20u);
 }
@@ -415,14 +448,19 @@ TEST_F(BinaryFrontendFixture, AdminPlaneRidesBinaryFrames) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {0.5f};
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(client_.Roundtrip(req).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client_.Call({Command::kEstimate, req}).ok());
+  }
 
-  // The raw admin surface: one JSON line inside an admin frame.
-  util::Result<std::string> stats = client_.Admin("stats", 31);
+  // One JSON admin line inside an admin frame; the reply line comes back
+  // the same way.
+  util::Result<ClientReply> stats =
+      client_.Call({Command::kStats, {}, {"stats", 31}});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats.ValueOrDie().find("\"stats\""), std::string::npos);
-  EXPECT_NE(stats.ValueOrDie().find("\"tag\":31"), std::string::npos);
-  EXPECT_NE(stats.ValueOrDie().find("\"requests\":4"), std::string::npos);
+  const std::string& line = stats.ValueOrDie().body;
+  EXPECT_NE(line.find("\"stats\""), std::string::npos);
+  EXPECT_NE(line.find("\"tag\":31"), std::string::npos);
+  EXPECT_NE(line.find("\"requests\":4"), std::string::npos);
 
   // The typed surface: health ack, metrics exposition, machine scrape.
   ClientCall health;
@@ -430,20 +468,31 @@ TEST_F(BinaryFrontendFixture, AdminPlaneRidesBinaryFrames) {
   health.admin.tag = 7;
   ASSERT_TRUE(client_.Call(health).ok());
 
-  util::Result<std::string> metrics = client_.Metrics();
+  util::Result<ClientReply> metrics = client_.Call({Command::kMetrics});
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_NE(metrics.ValueOrDie().find("selnet_requests_total"),
+  EXPECT_NE(metrics.ValueOrDie().text.find("selnet_requests_total"),
             std::string::npos);
 
-  util::Result<StatsSnapshot> scrape = client_.StatsWire();
+  util::Result<ClientReply> scrape = client_.Call({Command::kStatsWire});
   ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
-  EXPECT_EQ(scrape.ValueOrDie().requests, 4u);
+  EXPECT_EQ(scrape.ValueOrDie().stats.requests, 4u);
 
-  // Unknown commands still answer (with an error line), connection lives.
-  util::Result<std::string> unknown = client_.Admin("bogus", 3);
-  ASSERT_TRUE(unknown.ok());
+  // Unknown commands still answer (with an error line in an admin-reply
+  // frame), connection lives.
+  AdminRequest bogus;
+  bogus.cmd = "bogus";
+  bogus.tag = 3;
+  std::string frame;
+  AppendAdminFrame(&frame, FrameType::kAdmin, 3,
+                   SerializeAdminRequest(bogus));
+  ASSERT_TRUE(client_.SendRaw(frame).ok());
+  FrameHeader hdr;
+  util::Result<std::string> unknown = client_.ReadFrame(&hdr);
+  ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+  EXPECT_EQ(hdr.type, FrameType::kAdminReply);
+  EXPECT_EQ(hdr.tag, 3u);
   EXPECT_NE(unknown.ValueOrDie().find("unknown admin cmd"), std::string::npos);
-  ASSERT_TRUE(client_.Roundtrip(req).ok());
+  ASSERT_TRUE(client_.Call({Command::kEstimate, req}).ok());
 }
 
 TEST_F(BinaryFrontendFixture, UnknownRouteIsTypedNotFoundAndConnSurvives) {
@@ -452,7 +501,7 @@ TEST_F(BinaryFrontendFixture, UnknownRouteIsTypedNotFoundAndConnSurvives) {
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
   req.tag = 9;
-  util::Result<EstimateResponse> bad = client_.Roundtrip(req);
+  util::Result<ClientReply> bad = client_.Call({Command::kEstimate, req});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kNotFound)
       << bad.status().ToString();
@@ -460,7 +509,7 @@ TEST_F(BinaryFrontendFixture, UnknownRouteIsTypedNotFoundAndConnSurvives) {
 
   // A per-request failure never costs the connection.
   req.model.clear();
-  ASSERT_TRUE(client_.Roundtrip(req).ok());
+  ASSERT_TRUE(client_.Call({Command::kEstimate, req}).ok());
 }
 
 TEST_F(BinaryFrontendFixture, BadMagicGetsOneErrorFrameThenClose) {
@@ -491,7 +540,7 @@ TEST_F(BinaryFrontendFixture, BadMagicGetsOneErrorFrameThenClose) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {0.5f};
-  EXPECT_TRUE(again.Roundtrip(req).ok());
+  EXPECT_TRUE(again.Call({Command::kEstimate, req}).ok());
 }
 
 TEST_F(BinaryFrontendFixture, OversizedFrameLengthIsRejectedThenClosed) {
@@ -576,7 +625,7 @@ TEST(HelloNegotiationTest, JsonPreferenceSkipsNegotiation) {
   EstimateRequest req;
   req.x = {0.0f, 0.0f, 0.0f, 0.0f};
   req.thresholds = {1.0f};
-  EXPECT_TRUE(client.Roundtrip(req).ok());
+  EXPECT_TRUE(client.Call({Command::kEstimate, req}).ok());
 }
 
 TEST(HelloNegotiationTest, HandWrittenHelloLineGetsVersionedAck) {
@@ -645,9 +694,9 @@ TEST(MultiLoopFrontendTest, ShardedAcceptorServesManyMixedConnections) {
       req.thresholds = {0.5f};
       for (int i = 0; i < kPerClient; ++i) {
         req.tag = uint64_t(c * 100 + i);
-        util::Result<EstimateResponse> resp = client.Roundtrip(req);
-        if (!resp.ok() || resp.ValueOrDie().tag != req.tag ||
-            resp.ValueOrDie().estimates[0] != 1.0f + float(c) + 0.5f) {
+        util::Result<ClientReply> resp = client.Call({Command::kEstimate, req});
+        if (!resp.ok() || resp.ValueOrDie().estimate.tag != req.tag ||
+            resp.ValueOrDie().estimate.estimates[0] != 1.0f + float(c) + 0.5f) {
           failures.fetch_add(1);
         }
       }
@@ -677,9 +726,9 @@ TEST(MultiLoopFrontendTest, ReuseportModeServesWhenAvailable) {
     EstimateRequest req;
     req.x = {1.0f, 0.0f, 0.0f, 0.0f};
     req.thresholds = {0.5f};
-    util::Result<EstimateResponse> resp = client.Roundtrip(req);
+    util::Result<ClientReply> resp = client.Call({Command::kEstimate, req});
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    EXPECT_FLOAT_EQ(resp.ValueOrDie().estimates[0], 1.5f);
+    EXPECT_FLOAT_EQ(resp.ValueOrDie().estimate.estimates[0], 1.5f);
   }
   EXPECT_EQ(frontend.Stats().requests, 4u);
 }
