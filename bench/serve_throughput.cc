@@ -273,7 +273,6 @@ int main(int argc, char** argv) {
     scfg.enable_batching = batching;
     scfg.enable_cache = cache;
     scfg.scheduler.max_batch = 128;
-    scfg.scheduler.max_delay_ms = 0.3;
     auto server = std::make_unique<serve::SelNetServer>(scfg);
     server->Publish(model);
     return server;
@@ -544,7 +543,6 @@ int main(int argc, char** argv) {
     scfg.server.dim = db.dim();
     scfg.server.enable_cache = false;
     scfg.server.scheduler.max_batch = 128;
-    scfg.server.scheduler.max_delay_ms = 0.3;
     scfg.num_shards = num_shards;
     scfg.threads_per_shard = 1;
     serve::ShardedRegistry reg(scfg);
@@ -600,7 +598,6 @@ int main(int argc, char** argv) {
     scfg.server.dim = db.dim();
     scfg.server.enable_cache = false;
     scfg.server.scheduler.max_batch = 128;
-    scfg.server.scheduler.max_delay_ms = 0.3;
     scfg.num_shards = kShards;
     scfg.threads_per_shard = 1;
     serve::ShardedRegistry reg(scfg);
@@ -796,7 +793,6 @@ int main(int argc, char** argv) {
     scfg.enable_batching = true;
     scfg.enable_cache = false;
     scfg.scheduler.max_batch = 128;
-    scfg.scheduler.max_delay_ms = 0.3;
     scfg.trace_sample_every = sample_every;
     auto server = std::make_unique<serve::SelNetServer>(scfg);
     server->Publish(model);
@@ -855,7 +851,6 @@ int main(int argc, char** argv) {
       ncfg.server.dim = db.dim();
       ncfg.server.enable_cache = false;
       ncfg.server.scheduler.max_batch = 128;
-      ncfg.server.scheduler.max_delay_ms = 0.3;
       ncfg.threads = 1;
       return std::make_unique<serve::ShardNode>(ncfg);
     };
@@ -864,7 +859,6 @@ int main(int argc, char** argv) {
       scfg.server.dim = db.dim();
       scfg.server.enable_cache = false;
       scfg.server.scheduler.max_batch = 128;
-      scfg.server.scheduler.max_delay_ms = 0.3;
       scfg.num_shards = 1;
       scfg.threads_per_shard = 1;
       scfg.replication = 2;

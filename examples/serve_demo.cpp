@@ -134,7 +134,6 @@ int RunServer(uint16_t port) {
   scfg.server.dim = world.db->dim();
   scfg.num_shards = 2;
   scfg.server.scheduler.max_batch = 64;
-  scfg.server.scheduler.max_delay_ms = 0.3;
   // Stage-trace 1 request in 16: cheap enough to leave on (see
   // bench/serve_throughput part 7) and enough samples for live per-stage
   // percentiles in the digest below and in {"cmd":"stats"} replies.
@@ -336,7 +335,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig scfg;
   scfg.dim = db.dim();
   scfg.scheduler.max_batch = 64;
-  scfg.scheduler.max_delay_ms = 0.3;
   serve::SelNetServer server(scfg);
   auto version = server.PublishFromFile(model_path);
   if (!version.ok()) {

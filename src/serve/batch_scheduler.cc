@@ -1,8 +1,11 @@
 #include "serve/batch_scheduler.h"
 
 #include <algorithm>
-#include <memory>
+#include <cstddef>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "serve/admission.h"
@@ -17,7 +20,6 @@ BatchScheduler::BatchScheduler(const SchedulerConfig& cfg, BatchFn batch_fn)
   SEL_CHECK(cfg_.dim > 0);
   SEL_CHECK(cfg_.max_batch > 0);
   SEL_CHECK(batch_fn_ != nullptr);
-  flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
 BatchScheduler::~BatchScheduler() { Shutdown(); }
@@ -30,52 +32,65 @@ void BatchScheduler::SubmitRows(std::vector<Row> rows) {
     SEL_CHECK_EQ(row.x.size(), cfg_.dim);
     row.enqueued = now;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) {
-    lock.unlock();
-    auto err = std::make_exception_ptr(
-        OverloadError(ShedReason::kShutdown, "BatchScheduler is shut down"));
-    for (Row& row : rows) row.done(0.0f, err, RowTiming{});
-    return;
-  }
-  // Only an empty->non-empty transition needs to arm the flusher's delay
-  // timer (waking it per row would cost a futex wake on the hot path). An
-  // inline flush below empties the queue, and the flusher may see it empty
-  // during the handoff and go back to sleep, so any push can be one.
-  bool arm_flusher = false;
-  std::vector<Row> rejected;
-  for (Row& row : rows) {
-    // DispatchLocked drops the lock around the pool handoff, so Shutdown can
-    // slip in mid-call: re-check and fail the remainder.
-    if (stop_) {
-      rejected.push_back(std::move(row));
-      continue;
+  size_t start = 0;
+  bool stopped = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped = stop_;
+    if (!stopped) {
+      for (Row& row : rows) pending_.push_back(std::move(row));
+      // Start a runner for every max_batch rows that the queued runners will
+      // not take, while a pool worker has none. With runners_ == 0 this
+      // always starts one, so pending rows never strand.
+      while (runners_ < pool_->num_threads() &&
+             queued_runners_ * cfg_.max_batch < pending_.size()) {
+        ++runners_;
+        ++queued_runners_;
+        ++start;
+      }
     }
-    arm_flusher |= pending_.empty();
-    pending_.push_back(std::move(row));
-    if (pending_.size() >= cfg_.max_batch) DispatchLocked(&lock);
   }
-  // One wake at most per call.
-  if (arm_flusher && !pending_.empty()) work_cv_.notify_one();
-  lock.unlock();
-  if (!rejected.empty()) {
-    auto err = std::make_exception_ptr(
-        OverloadError(ShedReason::kShutdown, "BatchScheduler is shut down"));
-    for (Row& row : rejected) row.done(0.0f, err, RowTiming{});
-  }
+  // runners_ > 0 keeps Shutdown (and so the destructor) waiting until these
+  // tasks have run, so submitting them outside the lock is safe.
+  for (size_t i = 0; i < start; ++i) pool_->Submit([this] { RunTurn(); });
+  if (!stopped) return;
+  auto err = std::make_exception_ptr(
+      OverloadError(ShedReason::kShutdown, "BatchScheduler is shut down"));
+  for (Row& row : rows) row.done(0.0f, err, RowTiming{});
 }
 
-void BatchScheduler::DispatchLocked(std::unique_lock<std::mutex>* lock) {
-  if (pending_.empty()) return;
+void BatchScheduler::RunTurn() {
   std::vector<Row> batch;
-  batch.swap(pending_);
-  ++in_flight_batches_;
-  lock->unlock();
-  // Wrapped in shared_ptr because std::function requires a copyable callable
-  // and copying a full batch of query vectors per dispatch would be wasteful.
-  auto shared_batch = std::make_shared<std::vector<Row>>(std::move(batch));
-  pool_->Submit([this, shared_batch] { RunBatch(std::move(*shared_batch)); });
-  lock->lock();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --queued_runners_;
+    if (pending_.size() <= cfg_.max_batch) {
+      batch.swap(pending_);
+    } else {
+      // Backpressure: take the oldest max_batch rows, leave the rest.
+      auto cut = pending_.begin() + static_cast<std::ptrdiff_t>(cfg_.max_batch);
+      batch.assign(std::make_move_iterator(pending_.begin()),
+                   std::make_move_iterator(cut));
+      pending_.erase(pending_.begin(), cut);
+    }
+  }
+  if (!batch.empty()) RunBatch(std::move(batch));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Retire once the queued runners will take every pending row (always
+    // when none are pending); otherwise take another turn.
+    if (pending_.size() <= queued_runners_ * cfg_.max_batch) {
+      --runners_;
+      // Notify under the lock: once the count hits zero with the lock free,
+      // a waiter in Drain()/Shutdown() may return and destroy this object,
+      // so an unlocked notify could touch a destroyed condition_variable.
+      drain_cv_.notify_all();
+      return;
+    }
+    ++queued_runners_;
+  }
+  // Back of the pool's queue: tasks queued meanwhile run first.
+  pool_->Submit([this] { RunTurn(); });
 }
 
 void BatchScheduler::RunBatch(std::vector<Row> batch) {
@@ -144,7 +159,12 @@ void BatchScheduler::RunBatch(std::vector<Row> batch) {
     }
     try {
       tensor::Matrix y = batch_fn_(*model, x, t);
-      SEL_CHECK_EQ(y.rows(), live.size());
+      if (y.rows() != live.size() || y.cols() < 1) {
+        throw std::runtime_error(
+            "BatchScheduler: batch fn for '" + *model + "' returned " +
+            std::to_string(y.rows()) + "x" + std::to_string(y.cols()) +
+            " for " + std::to_string(live.size()) + " rows");
+      }
       auto done = std::chrono::steady_clock::now();
       for (size_t i = 0; i < live.size(); ++i) {
         Row& row = batch[live[i]];
@@ -164,58 +184,17 @@ void BatchScheduler::RunBatch(std::vector<Row> batch) {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_batches_;
-    // Notify under the lock: once the count hits zero with the lock free, a
-    // waiter in Drain()/Shutdown() may return and destroy this object, so an
-    // unlocked notify could touch a destroyed condition_variable.
-    drain_cv_.notify_all();
-  }
-}
-
-void BatchScheduler::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto delay = std::chrono::duration<double, std::milli>(cfg_.max_delay_ms);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-    if (stop_ && pending_.empty()) return;
-    // Oldest row sets the deadline; flush when it expires or the batch fills
-    // (SubmitRows dispatches full batches itself, so waking with an empty
-    // queue just loops back to waiting).
-    auto deadline = pending_.front().enqueued +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(delay);
-    work_cv_.wait_until(lock, deadline, [this, deadline] {
-      return stop_ || pending_.empty() ||
-             std::chrono::steady_clock::now() >= deadline;
-    });
-    if (!pending_.empty()) DispatchLocked(&lock);
-    if (stop_ && pending_.empty()) return;
-  }
 }
 
 void BatchScheduler::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!pending_.empty()) DispatchLocked(&lock);
-  drain_cv_.wait(lock, [this] {
-    return pending_.empty() && in_flight_batches_ == 0;
-  });
+  drain_cv_.wait(lock, [this] { return pending_.empty() && runners_ == 0; });
 }
 
 void BatchScheduler::Shutdown() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_ && !flusher_.joinable()) return;
-    stop_ = true;
-    if (!pending_.empty()) DispatchLocked(&lock);
-  }
-  work_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [this] {
-    return pending_.empty() && in_flight_batches_ == 0;
-  });
+  stop_ = true;
+  drain_cv_.wait(lock, [this] { return pending_.empty() && runners_ == 0; });
 }
 
 }  // namespace selnet::serve

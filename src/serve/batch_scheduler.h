@@ -8,7 +8,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -20,16 +19,19 @@
 ///
 /// Single-row SelNet prediction pays the full autograd-graph construction
 /// cost per call; batching B rows through one forward pass amortizes it and
-/// lets the GEMM kernels run at full width. The scheduler buffers incoming
-/// rows and flushes a batch when either `max_batch` rows are pending or the
-/// oldest pending row has waited `max_delay`. Flushed batches are dispatched
-/// to a util::ThreadPool via Submit, so multiple batches can be in flight
-/// while the flusher keeps accepting rows.
+/// lets the GEMM kernels run at full width. Dispatch is work-conserving:
+/// there is no timer. `SubmitRows` queues its rows and, when fewer runners
+/// than pool workers are queued or running, starts a runner task on the
+/// pool. A runner takes up to `max_batch` pending rows at the moment it
+/// starts (not when it was queued), runs them, and re-queues itself on the
+/// pool while rows remain, so other tasks sharing the pool keep their FIFO
+/// turn; otherwise it retires. A lone row on an idle worker is answered at
+/// once, and batches grow only while every worker is busy (backpressure).
 ///
-/// Rows carry a model route: a flush groups its rows by model name (in
+/// Rows carry a model route: a runner turn groups its rows by model name (in
 /// first-appearance order) and issues one batch function call per distinct
 /// model, so requests to different registry slots coalesce independently
-/// inside one flush window. The batch function resolves the model snapshot
+/// inside one runner turn. The batch function resolves the model snapshot
 /// per call, which is what makes hot-swap work: a republished model takes
 /// effect at the next batch boundary without failing in-flight rows.
 ///
@@ -55,9 +57,10 @@ struct SchedulerConfig {
   /// Query dimensionality. Required for standalone use; SelNetServer treats 0
   /// as "inherit ServerConfig::dim" and rejects any other mismatching value.
   size_t dim = 0;
-  size_t max_batch = 64;     ///< Flush when this many rows are pending.
-  double max_delay_ms = 0.2; ///< Flush when the oldest row is this old.
-  util::ThreadPool* pool = nullptr;  ///< Execution pool; null = Global().
+  size_t max_batch = 64;  ///< Most rows one runner turn takes.
+  /// Execution pool; null = Global(). At most `num_threads()` runners are
+  /// queued or running on it at once.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// \brief Coalesces single estimate rows into batched Predict calls.
@@ -65,7 +68,8 @@ class BatchScheduler {
  public:
   /// Evaluates a B x dim query matrix and B x 1 thresholds against `model`
   /// into B x 1 estimates. Must be safe to call concurrently from pool
-  /// workers. Throwing fails every row of that model group.
+  /// workers. Throwing fails every row of that model group, and so does a
+  /// result with other than B rows or with no column.
   using BatchFn = std::function<tensor::Matrix(
       const std::string& model, const tensor::Matrix& x,
       const tensor::Matrix& t)>;
@@ -102,16 +106,16 @@ class BatchScheduler {
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
   /// \brief Enqueue rows under ONE lock acquisition (a frontend read round
-  /// that decoded N requests pays one mutex + at most one flusher wake).
-  /// Each row's `done` must be set and fires when its batch runs
-  /// (immediately, with a typed kShutdown error, if the scheduler is shut
-  /// down); `enqueued` is stamped here with a single shared clock sample.
-  /// Full batches dispatch inline. A non-default `deadline` marks a row
-  /// droppable: expired at the batch boundary -> completed with
-  /// OverloadError(kDeadlineExpired) instead of predicted.
+  /// that decoded N requests pays one mutex and starts runners only for
+  /// idle workers). Each row's `done` must be set and fires when its batch
+  /// runs (immediately, with a typed kShutdown error, if the scheduler is
+  /// shut down); `enqueued` is stamped here with a single shared clock
+  /// sample. A non-default `deadline` marks a row droppable: expired at the
+  /// batch boundary -> completed with OverloadError(kDeadlineExpired)
+  /// instead of predicted.
   void SubmitRows(std::vector<Row> rows);
 
-  /// \brief Block until every row submitted so far has been answered.
+  /// \brief Block until nothing is pending and no runner is left.
   void Drain();
 
   /// \brief Stop accepting work and drain; called by the destructor.
@@ -132,11 +136,11 @@ class BatchScheduler {
   }
 
  private:
-  void FlusherLoop();
-  /// Moves `pending_` out and dispatches it to the pool. Caller holds mu_.
-  void DispatchLocked(std::unique_lock<std::mutex>* lock);
-  /// Runs one flush on a pool worker: group rows by model, one batch fn call
-  /// per group.
+  /// One runner turn on a pool worker: take up to `max_batch` pending rows,
+  /// run them, then re-queue while rows remain that the queued runners will
+  /// not take, or retire.
+  void RunTurn();
+  /// Groups `batch` by model and makes one batch fn call per group.
   void RunBatch(std::vector<Row> batch);
 
   SchedulerConfig cfg_;
@@ -144,12 +148,14 @@ class BatchScheduler {
   util::ThreadPool* pool_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   ///< Wakes the flusher.
   std::condition_variable drain_cv_;  ///< Wakes Drain()/Shutdown().
   std::vector<Row> pending_;
-  size_t in_flight_batches_ = 0;
+  /// Runner tasks queued or running; never above pool_->num_threads(), and
+  /// never 0 while rows are pending.
+  size_t runners_ = 0;
+  /// Runners queued on the pool that have not yet taken their rows.
+  size_t queued_runners_ = 0;
   bool stop_ = false;
-  std::thread flusher_;
 
   std::atomic<uint64_t> expired_rows_{0};
   std::atomic<uint64_t> expired_predicted_{0};

@@ -23,7 +23,7 @@
 /// (one 64-bit mix per coordinate; ~0.4 us at dim 128 on an AVX-512 host)
 /// and leaves the version out; Key / CurveKey fold version and threshold
 /// into it in O(1) (~8 ns there). The server digests once per request and
-/// once per row at a scheduler flush, so a K-threshold sweep pays one
+/// once per row in a scheduler batch, so a K-threshold sweep pays one
 /// digest, not 2K + 1.
 ///
 /// Two entry kinds share the machinery:

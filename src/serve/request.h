@@ -106,8 +106,8 @@ struct EstimateResponse {
   /// Registry slot that answered.
   std::string model;
   /// Model version the request was admitted against. Rows that miss the
-  /// cache resolve their snapshot at batch-flush time, so after a concurrent
-  /// republish individual estimates may come from a newer version.
+  /// cache resolve their snapshot when their batch starts, so after a
+  /// concurrent republish individual estimates may come from a newer version.
   uint64_t version = 0;
   /// How many thresholds were answered from the cache.
   uint32_t cache_hits = 0;

@@ -159,6 +159,14 @@ tensor::Matrix SelNetServer::PredictOnHandle(const ModelHandle& handle,
                                              const tensor::Matrix& x,
                                              const tensor::Matrix& t) {
   tensor::Matrix y = handle.model->Predict(x, t);
+  if (y.rows() != x.rows() || y.cols() < 1) {
+    // A wrong-shaped result is a bug in the *published model*: fail its
+    // rows before anything reads y, never the process.
+    throw std::runtime_error(
+        "SelNetServer: Predict on '" + handle.name + "' returned " +
+        std::to_string(y.rows()) + "x" + std::to_string(y.cols()) + " for " +
+        std::to_string(x.rows()) + " rows");
+  }
   stats_.RecordBatch(x.rows());
   if (cfg_.enable_cache) {
     for (size_t i = 0; i < x.rows(); ++i) {
@@ -481,9 +489,9 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
 
   if (scheduler_) {
     // Row expansion: each missing threshold becomes a scheduler row that
-    // coalesces with other requests' rows. Rows resolve their snapshot at
-    // flush time; the sorted-sweep repair in Finalize absorbs any mid-sweep
-    // republish.
+    // coalesces with other requests' rows. Rows resolve their snapshot when
+    // their batch starts; the sorted-sweep repair in Finalize absorbs any
+    // mid-sweep republish.
     state->remaining.store(missing.size(), std::memory_order_relaxed);
     for (size_t idx : missing) {
       BatchScheduler::Row row;

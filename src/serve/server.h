@@ -31,8 +31,8 @@
 ///          control-point evaluation answers them all (K PWL lookups instead
 ///          of K batched Predict rows), on a pool worker;
 ///        * otherwise -> row expansion into the BatchScheduler, where the
-///          rows coalesce with other requests (any model mix; flushes group
-///          by route);
+///          rows coalesce with other requests (any model mix; each batch
+///          groups by route);
 ///   4. completion fills the cache, repairs sorted sweeps to a non-decreasing
 ///      column, and invokes the caller's ResponseFn.
 ///
@@ -40,11 +40,11 @@
 /// reach the BatchScheduler in one SubmitRows call.
 ///
 /// Hot-swap: Publish() installs a new snapshot in the registry. Scheduler
-/// rows resolve their snapshot when their batch flushes, so in-flight rows
-/// finish on whichever version they were batched against and nothing fails
-/// mid-swap; fast-path sweeps run entirely on the snapshot pinned at submit.
-/// Cache keys embed the version, so a swap implicitly invalidates — stale
-/// entries stop matching and age out of the LRU.
+/// rows resolve their snapshot when a worker starts their batch, so
+/// in-flight rows finish on whichever version they were batched against and
+/// nothing fails mid-swap; fast-path sweeps run entirely on the snapshot
+/// pinned at submit. Cache keys embed the version, so a swap implicitly
+/// invalidates — stale entries stop matching and age out of the LRU.
 ///
 /// Consistency dividend (the paper's monotonicity guarantee): because served
 /// estimators are monotone in t, a sorted sweep's response column is
@@ -183,8 +183,8 @@ class SelNetServer {
   /// path: one read round of binary frames arrives as one call). Semantics
   /// are identical to per-request SubmitWith — validation, admission, cache,
   /// and fast path all run per request — but every scheduler row the batch
-  /// produces is enqueued under ONE scheduler lock acquisition with at most
-  /// one flusher wake, instead of one per row.
+  /// produces is enqueued under ONE scheduler lock acquisition, which starts
+  /// runners only for idle pool workers, instead of one acquisition per row.
   void SubmitMany(std::vector<Submission> batch);
 
   /// \brief Block until every accepted request has been answered.

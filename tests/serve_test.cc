@@ -321,11 +321,44 @@ std::future<float> SubmitOneRow(BatchScheduler& scheduler, const float* x,
   return result;
 }
 
+// Holds batch fn calls at a gate: the n-th call to enter (1-based) waits
+// until Release(m) with m >= n. Tests use it to keep pool workers busy while
+// they queue rows behind them.
+class Turnstile {
+ public:
+  static constexpr size_t kAll = std::numeric_limits<size_t>::max();
+
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    const size_t n = ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_ >= n; });
+  }
+  void AwaitEntered(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+  void Release(size_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = n;
+    cv_.notify_all();
+  }
+  size_t entered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t entered_ = 0;
+  size_t released_ = 0;
+};
+
 TEST(BatchSchedulerTest, AnswersMatchUnbatchedComputation) {
   SchedulerConfig cfg;
   cfg.dim = 3;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 1.0;
   BatchScheduler scheduler(cfg, FakePredict);
   std::vector<std::future<float>> futures;
   for (int i = 0; i < 50; ++i) {
@@ -340,34 +373,44 @@ TEST(BatchSchedulerTest, AnswersMatchUnbatchedComputation) {
 }
 
 TEST(BatchSchedulerTest, CoalescesRequestsIntoFewerBatches) {
+  // Rows coalesce while the only worker is busy: the first row's call holds
+  // it, the next 63 queue behind, and the released runner takes them in
+  // max_batch turns.
+  util::ThreadPool pool(1);
   SchedulerConfig cfg;
   cfg.dim = 2;
   cfg.max_batch = 16;
-  cfg.max_delay_ms = 50.0;  // Large delay: batches close on max_batch.
-  std::atomic<size_t> batches{0};
+  cfg.pool = &pool;
+  Turnstile gate;
+  std::mutex mu;
+  std::vector<size_t> batch_rows;
   BatchScheduler scheduler(
       cfg, [&](const std::string&, const Matrix& x, const Matrix& t) {
-        batches.fetch_add(1);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          batch_rows.push_back(x.rows());
+        }
+        gate.Pass();
         return FakePredictRows(x, t);
       });
   std::vector<std::future<float>> futures;
   for (int i = 0; i < 64; ++i) {
     float x[2] = {float(i), 0.0f};
     futures.push_back(SubmitOneRow(scheduler, x, 0.0f));
+    if (i == 0) gate.AwaitEntered(1);
   }
+  gate.Release(Turnstile::kAll);
   scheduler.Drain();
-  for (auto& f : futures) f.get();
-  // 64 requests with max_batch 16 need at least 4 batches but far fewer
-  // than 64 — the point of coalescing.
-  EXPECT_GE(batches.load(), 4u);
-  EXPECT_LE(batches.load(), 16u);
+  for (int i = 0; i < 64; ++i) EXPECT_FLOAT_EQ(futures[i].get(), float(i));
+  // 1 + ceil(63 / 16) calls: the lone first row, then full turns.
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(batch_rows, (std::vector<size_t>{1, 16, 16, 16, 15}));
 }
 
-TEST(BatchSchedulerTest, MaxDelayFlushesPartialBatch) {
+TEST(BatchSchedulerTest, IdleWorkerAnswersALoneRow) {
   SchedulerConfig cfg;
   cfg.dim = 1;
-  cfg.max_batch = 1000;  // Never filled; only the delay can flush.
-  cfg.max_delay_ms = 2.0;
+  cfg.max_batch = 1000;  // Never filled: an idle worker must not wait for it.
   BatchScheduler scheduler(cfg, FakePredict);
   float x[1] = {1.5f};
   std::future<float> f = SubmitOneRow(scheduler, x, 0.0f);
@@ -379,7 +422,6 @@ TEST(BatchSchedulerTest, BatchFnExceptionPropagatesToFutures) {
   SchedulerConfig cfg;
   cfg.dim = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_ms = 1.0;
   BatchScheduler scheduler(
       cfg, [](const std::string&, const Matrix&, const Matrix&) -> Matrix {
         throw std::runtime_error("model exploded");
@@ -390,6 +432,34 @@ TEST(BatchSchedulerTest, BatchFnExceptionPropagatesToFutures) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+TEST(BatchSchedulerTest, WrongRowCountFailsOnlyItsModelGroup) {
+  // A batch fn returning one row short fails that group's rows with an
+  // error; the process survives and the other group is answered.
+  util::ThreadPool pool(1);
+  SchedulerConfig cfg;
+  cfg.dim = 1;
+  cfg.pool = &pool;
+  Turnstile gate;
+  BatchScheduler scheduler(
+      cfg, [&](const std::string& model, const Matrix& x, const Matrix& t) {
+        if (model == "hold") gate.Pass();
+        if (model == "short") return Matrix(x.rows() - 1, 1);
+        return FakePredictRows(x, t);
+      });
+  float x[1] = {2.0f};
+  std::future<float> held = SubmitOneRow(scheduler, x, 0.0f, "hold");
+  gate.AwaitEntered(1);
+  std::future<float> bad1 = SubmitOneRow(scheduler, x, 0.0f, "short");
+  std::future<float> good = SubmitOneRow(scheduler, x, 0.0f, "good");
+  std::future<float> bad2 = SubmitOneRow(scheduler, x, 0.0f, "short");
+  gate.Release(Turnstile::kAll);
+  scheduler.Drain();
+  EXPECT_FLOAT_EQ(held.get(), 2.0f);
+  EXPECT_THROW(bad1.get(), std::runtime_error);
+  EXPECT_THROW(bad2.get(), std::runtime_error);
+  EXPECT_FLOAT_EQ(good.get(), 2.0f);
+}
+
 TEST(BatchSchedulerTest, SubmitAfterShutdownFailsFuture) {
   SchedulerConfig cfg;
   cfg.dim = 1;
@@ -397,21 +467,23 @@ TEST(BatchSchedulerTest, SubmitAfterShutdownFailsFuture) {
   scheduler.Shutdown();
   float x[1] = {0.0f};
   std::future<float> f = SubmitOneRow(scheduler, x, 0.0f);
-  EXPECT_THROW(f.get(), std::runtime_error);
+  try {
+    f.get();
+    FAIL() << "expected OverloadError";
+  } catch (const OverloadError& e) {
+    EXPECT_EQ(e.reason(), ShedReason::kShutdown);
+  }
 }
 
 TEST(BatchSchedulerTest, RowsLeftPendingAfterAnInlineFlushStillFlush) {
-  // A SubmitRows call that finds rows already pending, fills a batch
-  // (dispatching it inline, which drops the lock for the pool handoff) and
-  // then leaves rows pending must still wake the flusher: it may have seen
-  // the emptied queue during the handoff and gone back to sleep. Sweeping
-  // the gap between the two calls across the flusher's delay makes the
-  // handoff race its timeout; a lost wake-up strands the last row.
+  // No-stranding regression: a SubmitRows call that finds a row already
+  // pending or in flight and adds more must leave them all answered, however
+  // the call races the runner taking the earlier row. The gap between the
+  // two calls sweeps that race across the runner's turn.
   util::ThreadPool pool(2);
   SchedulerConfig cfg;
   cfg.dim = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_ms = 0.05;
   cfg.pool = &pool;
   BatchScheduler scheduler(cfg, FakePredict);
   for (int round = 0; round < 500; ++round) {
@@ -441,10 +513,14 @@ TEST(BatchSchedulerTest, RowsLeftPendingAfterAnInlineFlushStillFlush) {
 }
 
 TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
+  // A "hold" row keeps the only worker busy while 10 interleaved rows for
+  // two models queue; the next turn must make one call per model.
+  util::ThreadPool pool(1);
   SchedulerConfig cfg;
   cfg.dim = 1;
   cfg.max_batch = 64;
-  cfg.max_delay_ms = 20.0;  // One flush holding rows for both models.
+  cfg.pool = &pool;
+  Turnstile gate;
   std::mutex mu;
   std::vector<std::pair<std::string, size_t>> calls;  // (model, rows).
   BatchScheduler scheduler(
@@ -453,41 +529,119 @@ TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
           std::lock_guard<std::mutex> lock(mu);
           calls.emplace_back(model, x.rows());
         }
+        if (model == "hold") gate.Pass();
         Matrix y = FakePredictRows(x, t);
         if (model == "b") {
           for (size_t i = 0; i < y.rows(); ++i) y(i, 0) += 1000.0f;
         }
         return y;
       });
+  float hold_x[1] = {0.0f};
+  std::future<float> held = SubmitOneRow(scheduler, hold_x, 0.0f, "hold");
+  gate.AwaitEntered(1);
   std::vector<std::future<float>> futures;
   for (int i = 0; i < 10; ++i) {
     float x[1] = {float(i)};
     futures.push_back(
         SubmitOneRow(scheduler, x, 0.0f, i % 2 == 0 ? "a" : "b"));
   }
+  gate.Release(Turnstile::kAll);
   scheduler.Drain();
+  held.get();
   for (int i = 0; i < 10; ++i) {
     float expected = float(i) + (i % 2 == 0 ? 0.0f : 1000.0f);
     EXPECT_FLOAT_EQ(futures[i].get(), expected) << "row " << i;
   }
-  // Interleaved submissions must coalesce into one batch fn call per model
-  // per flush, not one per row.
+  // Interleaved submissions coalesce into one call per model, in
+  // first-appearance order.
   std::lock_guard<std::mutex> lock(mu);
-  size_t a_rows = 0, b_rows = 0;
-  for (const auto& [model, rows] : calls) {
-    ASSERT_TRUE(model == "a" || model == "b");
-    (model == "a" ? a_rows : b_rows) += rows;
+  using Call = std::pair<std::string, size_t>;
+  EXPECT_EQ(calls, (std::vector<Call>{{"hold", 1}, {"a", 5}, {"b", 5}}));
+}
+
+TEST(BatchSchedulerTest, RunnersNeverOutnumberPoolWorkers) {
+  // Two workers, one row per turn, eight rows. Both workers block in their
+  // first calls; then a probe task joins the pool queue and one worker is
+  // let go. With at most two runners queued or running, that worker's
+  // re-queued runner lands behind the probe, so the probe runs before a
+  // third call starts. A runner per row would have queued six ahead of it.
+  util::ThreadPool pool(2);
+  SchedulerConfig cfg;
+  cfg.dim = 1;
+  cfg.max_batch = 1;
+  cfg.pool = &pool;
+  Turnstile gate;
+  BatchScheduler scheduler(
+      cfg, [&](const std::string&, const Matrix& x, const Matrix& t) {
+        gate.Pass();
+        return FakePredictRows(x, t);
+      });
+  std::vector<std::future<float>> futures;
+  for (int i = 0; i < 8; ++i) {
+    float x[1] = {float(i)};
+    futures.push_back(SubmitOneRow(scheduler, x, 0.0f));
   }
-  EXPECT_EQ(a_rows, 5u);
-  EXPECT_EQ(b_rows, 5u);
-  EXPECT_LE(calls.size(), 10u);
+  gate.AwaitEntered(2);
+  auto probe = std::make_shared<std::promise<size_t>>();
+  std::future<size_t> probed = probe->get_future();
+  pool.Submit([&gate, probe] { probe->set_value(gate.entered()); });
+  gate.Release(1);
+  // Bounded wait: with extra runners queued ahead, the probe waits on the
+  // gate too. Open it either way so teardown cannot hang.
+  const bool ran =
+      probed.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.Release(Turnstile::kAll);
+  ASSERT_TRUE(ran) << "runners were queued ahead of the probe";
+  EXPECT_EQ(probed.get(), 2u);
+  scheduler.Drain();
+  for (int i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(futures[i].get(), float(i));
+  EXPECT_EQ(gate.entered(), 8u);
+}
+
+TEST(BatchSchedulerTest, ConcurrentProducersAnswerEveryRowOnce) {
+  util::ThreadPool pool(3);
+  SchedulerConfig cfg;
+  cfg.dim = 1;
+  cfg.max_batch = 8;
+  cfg.pool = &pool;
+  BatchScheduler scheduler(cfg, FakePredict);
+  constexpr size_t kProducers = 8;
+  constexpr size_t kRowsEach = 300;
+  std::vector<std::atomic<int>> answered(kProducers * kRowsEach);
+  std::atomic<size_t> wrong{0};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      // Calls of 1..3 rows, so single rows and small groups interleave.
+      for (size_t i = 0; i < kRowsEach;) {
+        std::vector<BatchScheduler::Row> rows;
+        for (size_t n = 1 + i % 3; n > 0 && i < kRowsEach; --n, ++i) {
+          const size_t id = p * kRowsEach + i;
+          BatchScheduler::Row row;
+          row.x = {float(id)};
+          row.done = [&, id](float value, std::exception_ptr error,
+                             const BatchScheduler::RowTiming&) {
+            if (error || value != float(id)) wrong.fetch_add(1);
+            answered[id].fetch_add(1);
+          };
+          rows.push_back(std::move(row));
+        }
+        scheduler.SubmitRows(std::move(rows));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  scheduler.Drain();
+  EXPECT_EQ(wrong.load(), 0u);
+  for (size_t id = 0; id < answered.size(); ++id) {
+    ASSERT_EQ(answered[id].load(), 1) << "row " << id;
+  }
 }
 
 TEST(BatchSchedulerTest, RowCallbackReceivesSplitTiming) {
   SchedulerConfig cfg;
   cfg.dim = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 1.0;
   BatchScheduler scheduler(cfg, FakePredict);
   std::promise<float> value_promise;
   std::atomic<double> latency{-1.0};
@@ -629,7 +783,6 @@ class ServeFixture : public ::testing::Test {
     scfg.enable_batching = batching;
     scfg.enable_cache = cache;
     scfg.scheduler.max_batch = 16;
-    scfg.scheduler.max_delay_ms = 0.5;
     return scfg;
   }
 
@@ -1024,8 +1177,9 @@ TEST_F(ServeFixture, MalformedRequestFailsFutureNotServer) {
       server, EstimateRequest::Point(wl_.queries.row(0), 6, 0.5f * wl_.tmax)));
 }
 
-// A SweepCapable implementation that violates its contract (returns count-1
-// values) — user-model bugs must fail the request, never the server.
+// A model that violates its contracts: Predict returns one row short and
+// SweepEstimate count-1 values. User-model bugs must fail the request,
+// never the server.
 class BrokenSweepEstimator : public eval::Estimator,
                              public eval::SweepCapable {
  public:
@@ -1033,7 +1187,7 @@ class BrokenSweepEstimator : public eval::Estimator,
   bool IsConsistent() const override { return true; }
   void Fit(const eval::TrainContext&) override {}
   Matrix Predict(const Matrix& x, const Matrix&) override {
-    return Matrix(x.rows(), 1);
+    return Matrix(x.rows() - 1, 1);
   }
   std::vector<float> SweepEstimate(const float*, const float*,
                                    size_t count) override {
@@ -1042,7 +1196,8 @@ class BrokenSweepEstimator : public eval::Estimator,
 };
 
 TEST_F(ServeFixture, BrokenSweepCapableModelFailsRequestNotServer) {
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
+  // Cache on: the scalar cache fill is the first reader of Predict's result.
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
   server.Publish(model_);
   server.Publish("broken", std::make_shared<BrokenSweepEstimator>());
   std::vector<float> ts = {0.1f, 0.2f, 0.3f, 0.4f};
@@ -1050,6 +1205,8 @@ TEST_F(ServeFixture, BrokenSweepCapableModelFailsRequestNotServer) {
   EXPECT_THROW(
       Await(server, EstimateRequest::Sweep(q, 6, ts, "broken")),
       std::runtime_error);
+  EXPECT_THROW(Await(server, EstimateRequest::Point(q, 6, 0.5f, "broken")),
+               std::runtime_error);
   // The healthy route keeps answering.
   EXPECT_NO_THROW(
       Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax)));
@@ -1446,7 +1603,6 @@ TEST(AdmissionServeTest, SaturationShedsTypedAndAccountsPerReason) {
   cfg.enable_batching = true;
   cfg.enable_cache = false;
   cfg.scheduler.max_batch = 4;
-  cfg.scheduler.max_delay_ms = 0.1;
   cfg.admission.enabled = true;
   cfg.admission.max_inflight = 4;
   cfg.admission.priority_watermarks = {1.0};
@@ -1496,7 +1652,6 @@ TEST(AdmissionServeTest, PriorityClassesShedLowBeforeHigh) {
   cfg.enable_batching = true;
   cfg.enable_cache = false;
   cfg.scheduler.max_batch = 8;
-  cfg.scheduler.max_delay_ms = 0.1;
   cfg.admission.enabled = true;
   cfg.admission.max_inflight = 4;
   cfg.admission.priority_watermarks = {1.0, 0.5};
@@ -1547,7 +1702,6 @@ TEST(AdmissionServeTest, ExpiredRowsDropBeforePredictWithTypedError) {
   cfg.enable_batching = true;
   cfg.enable_cache = false;
   cfg.scheduler.max_batch = 8;
-  cfg.scheduler.max_delay_ms = 0.1;
   cfg.scheduler.pool = &pool;
   SelNetServer server(cfg);
   auto blocking = std::make_shared<BlockingEstimator>();

@@ -60,7 +60,6 @@ ShardedConfig MakeConfig(size_t shards, size_t dim = 4) {
   cfg.server.dim = dim;
   cfg.server.enable_cache = false;
   cfg.server.scheduler.max_batch = 16;
-  cfg.server.scheduler.max_delay_ms = 0.2;
   cfg.num_shards = shards;
   cfg.threads_per_shard = 1;
   return cfg;

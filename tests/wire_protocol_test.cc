@@ -361,7 +361,6 @@ ServerConfig CheapServerConfig(size_t dim = 4) {
   cfg.dim = dim;
   cfg.enable_cache = false;
   cfg.scheduler.max_batch = 16;
-  cfg.scheduler.max_delay_ms = 0.2;
   return cfg;
 }
 
