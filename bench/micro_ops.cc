@@ -197,23 +197,19 @@ BENCHMARK(BM_GemmPrepackedVsRepack)
     ->Args({512, 1});
 
 // One request's cache-key work as the server does it: one QueryDigest of a
-// dim-128 query, then K threshold keys derived from it (K = 1: a point, K =
-// 16: a sweep).
+// dim-128 query and the curve key derived from it.
 void BM_CacheKeys(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
   const size_t dim = 128;
   util::Rng rng(14);
   Matrix x = Matrix::Gaussian(1, dim, &rng);
   serve::EstimateCache cache;
   for (auto _ : state) {
-    uint64_t digest = cache.QueryDigest(x.data(), dim);
-    for (size_t i = 0; i < k; ++i) {
-      benchmark::DoNotOptimize(cache.Key(1, digest, float(i) / float(k)));
-    }
+    benchmark::DoNotOptimize(
+        cache.CurveKey(1, cache.QueryDigest(x.data(), dim)));
   }
-  state.SetItemsProcessed(state.iterations() * k);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheKeys)->Arg(1)->Arg(16);
+BENCHMARK(BM_CacheKeys);
 
 }  // namespace
 

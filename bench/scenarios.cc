@@ -353,7 +353,6 @@ serve::ServerConfig BaseServerConfig(size_t dim) {
   serve::ServerConfig scfg;
   scfg.dim = dim;
   scfg.enable_batching = true;
-  scfg.enable_cache = false;
   scfg.scheduler.max_batch = 64;
   return scfg;
 }

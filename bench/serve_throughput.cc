@@ -2,18 +2,15 @@
 /// \brief Serving throughput: batched scheduler vs one-request-at-a-time,
 /// plus the sweep workload (SweepCapable fast path vs fallbacks).
 ///
-/// Part 1 — scalar stream, three configurations:
+/// Part 1 — scalar stream, two configurations:
 ///   unbatched — blocking single-row Predict per request (the baseline a
 ///               naive integration would ship);
 ///   batched   — the BatchScheduler coalescing concurrent requests into
-///               wide Predict calls;
-///   batched+cache — same, with the sharded LRU in front, on a skewed
-///               (hot-spot) request mix.
+///               wide Predict calls.
 ///
 /// Part 2 — threshold sweeps, K=16 thresholds per query:
 ///   scalar x16   — 16 independent Estimate calls (16 single-row Predicts);
-///   row expansion — one Sweep request with the fast path disabled (one
-///               16-row batched Predict);
+///   row expansion — one 16-row Predict on the model, timed directly;
 ///   fast path    — one Sweep request through SweepCapable: ONE control-point
 ///               evaluation + 16 piecewise-linear lookups.
 ///
@@ -107,19 +104,16 @@ struct RunResult {
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double hit_rate = 0.0;
   double avg_batch = 0.0;
 };
 
 /// Drive `total_requests` through the server from `num_clients` threads.
 /// Each client keeps `pipeline` requests in flight — a selectivity service
 /// embedded in a query optimizer scores many candidate predicates at once.
-/// `zipf_hot` > 0 sends that fraction of requests to one hot query subset.
 RunResult DriveLoad(serve::SelNetServer* server, const data::Workload& wl,
-                    size_t total_requests, size_t num_clients, size_t pipeline,
-                    double zipf_hot) {
+                    size_t total_requests, size_t num_clients,
+                    size_t pipeline) {
   server->stats().Reset();
-  server->cache().Clear();
   std::atomic<size_t> remaining{total_requests};
   util::Stopwatch watch;
   std::vector<std::thread> clients;
@@ -136,13 +130,7 @@ RunResult DriveLoad(serve::SelNetServer* server, const data::Workload& wl,
             remaining.store(0);
             break;
           }
-          size_t qi;
-          if (zipf_hot > 0 && rng.Uniform() < zipf_hot) {
-            qi = size_t(rng.UniformInt(0, 7));  // Hot subset: 8 queries.
-          } else {
-            qi = size_t(rng.UniformInt(0, int64_t(wl.queries.rows()) - 1));
-          }
-          // Thresholds on a coarse grid so the hot set actually repeats.
+          size_t qi = size_t(rng.UniformInt(0, int64_t(wl.queries.rows()) - 1));
           float t = wl.tmax * float(rng.UniformInt(1, 16)) / 16.0f;
           // One promise per request, resolved with the scalar estimate.
           auto promise = std::make_shared<std::promise<float>>();
@@ -175,7 +163,6 @@ RunResult DriveLoad(serve::SelNetServer* server, const data::Workload& wl,
   r.qps = double(total_requests) / seconds;
   r.p50_ms = s.latency_p50_ms;
   r.p99_ms = s.latency_p99_ms;
-  r.hit_rate = s.cache_hit_rate;
   r.avg_batch = s.avg_batch_size;
   return r;
 }
@@ -267,11 +254,10 @@ int main(int argc, char** argv) {
   const size_t kClients = 8;
   const size_t kPipeline = 64;
 
-  auto make_server = [&](bool batching, bool cache) {
+  auto make_server = [&](bool batching) {
     serve::ServerConfig scfg;
     scfg.dim = db.dim();
     scfg.enable_batching = batching;
-    scfg.enable_cache = cache;
     scfg.scheduler.max_batch = 128;
     auto server = std::make_unique<serve::SelNetServer>(scfg);
     server->Publish(model);
@@ -279,30 +265,22 @@ int main(int argc, char** argv) {
   };
 
   // One-request-at-a-time baseline: a single client, pipeline depth 1, no
-  // batching, no cache — every request is one full single-row Predict.
-  auto unbatched = make_server(false, false);
-  RunResult base = DriveLoad(unbatched.get(), wl, kRequests / 4, 1, 1, 0.0);
+  // batching — every request is one full single-row Predict.
+  auto unbatched = make_server(false);
+  RunResult base = DriveLoad(unbatched.get(), wl, kRequests / 4, 1, 1);
 
-  auto batched = make_server(true, false);
-  RunResult bat = DriveLoad(batched.get(), wl, kRequests, kClients, kPipeline,
-                            0.0);
+  auto batched = make_server(true);
+  RunResult bat = DriveLoad(batched.get(), wl, kRequests, kClients, kPipeline);
 
-  auto cached = make_server(true, true);
-  RunResult cac = DriveLoad(cached.get(), wl, kRequests, kClients, kPipeline,
-                            0.8);
-
-  util::AsciiTable table({"config", "QPS", "p50 ms", "p99 ms", "hit rate",
-                          "avg batch"});
+  util::AsciiTable table({"config", "QPS", "p50 ms", "p99 ms", "avg batch"});
   auto add = [&](const char* name, const RunResult& r) {
     table.AddRow({name, util::AsciiTable::Num(r.qps, 0),
                   util::AsciiTable::Num(r.p50_ms, 3),
                   util::AsciiTable::Num(r.p99_ms, 3),
-                  util::AsciiTable::Num(r.hit_rate, 3),
                   util::AsciiTable::Num(r.avg_batch, 1)});
   };
   add("unbatched (1 client)", base);
   add("batched (8 clients)", bat);
-  add("batched+cache (hot mix)", cac);
   table.Print("serve_throughput");
 
   double speedup = base.qps > 0 ? bat.qps / base.qps : 0.0;
@@ -311,23 +289,12 @@ int main(int argc, char** argv) {
       speedup, speedup >= 1.7 ? "OK" : "BELOW TARGET");
 
   // ------------------------------------------------------ sweep workload ---
-  // Batching and caching are off so every mode measures pure compute on the
-  // caller thread: the comparison is 16 single-row Predicts vs one 16-row
-  // Predict vs one control-point evaluation + 16 PWL lookups.
+  // Batching and the curve cache are off so every mode measures pure compute
+  // on the caller thread: the comparison is 16 single-row Predicts vs one
+  // 16-row Predict vs one control-point evaluation + 16 PWL lookups.
   bench::PrintBanner("Sweep workload: K=16 thresholds per query");
   const size_t kThresholds = 16;
   const size_t kSweeps = 300;
-
-  auto make_sweep_server = [&](bool fastpath) {
-    serve::ServerConfig scfg;
-    scfg.dim = db.dim();
-    scfg.enable_batching = false;
-    scfg.enable_cache = false;
-    scfg.enable_sweep_fastpath = fastpath;
-    auto server = std::make_unique<serve::SelNetServer>(scfg);
-    server->Publish(model);
-    return server;
-  };
 
   std::vector<float> ts(kThresholds);
   for (size_t i = 0; i < kThresholds; ++i) {
@@ -337,29 +304,34 @@ int main(int argc, char** argv) {
     return wl.queries.row(s % wl.queries.rows());
   };
 
-  auto scalar_server = make_sweep_server(false);
+  auto sweep_server = make_server(/*batching=*/false);
   util::Stopwatch scalar_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
     for (size_t i = 0; i < kThresholds; ++i) {
-      serve::Await(*scalar_server, serve::EstimateRequest::Point(
-                                       query_for(s), db.dim(), ts[i]));
+      serve::Await(*sweep_server, serve::EstimateRequest::Point(
+                                      query_for(s), db.dim(), ts[i]));
     }
   }
   double scalar_us = scalar_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
 
-  auto fallback_server = make_sweep_server(false);
+  // Row expansion, as the server runs it for a model without sweeps: the
+  // query copied into K rows, one K-row Predict.
   util::Stopwatch fallback_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
-    serve::Await(*fallback_server,
-                 serve::EstimateRequest::Sweep(query_for(s), db.dim(), ts));
+    tensor::Matrix xm(kThresholds, db.dim());
+    tensor::Matrix tm(kThresholds, 1);
+    for (size_t r = 0; r < kThresholds; ++r) {
+      std::copy(query_for(s), query_for(s) + db.dim(), xm.row(r));
+      tm(r, 0) = ts[r];
+    }
+    model->Predict(xm, tm);
   }
   double fallback_us =
       fallback_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
 
-  auto fast_server = make_sweep_server(true);
   util::Stopwatch fast_watch;
   for (size_t s = 0; s < kSweeps; ++s) {
-    serve::Await(*fast_server,
+    serve::Await(*sweep_server,
                  serve::EstimateRequest::Sweep(query_for(s), db.dim(), ts));
   }
   double fast_us = fast_watch.ElapsedMillis() * 1000.0 / double(kSweeps);
@@ -370,7 +342,7 @@ int main(int argc, char** argv) {
                         util::AsciiTable::Num(scalar_us / us, 2)});
   };
   add_sweep("scalar x16 (16 Predicts)", scalar_us);
-  add_sweep("row expansion (1 batched Predict)", fallback_us);
+  add_sweep("row expansion (1 16-row Predict)", fallback_us);
   add_sweep("fast path (1 control-point eval)", fast_us);
   sweep_table.Print("sweep_workload");
 
@@ -460,9 +432,9 @@ int main(int argc, char** argv) {
   // shadow model and republishes. The pipeline thread runs at background
   // nice, so serve-path tail latency should survive even on few cores.
   bench::PrintBanner("Live updates: serve QPS/p99, idle vs during retrain");
-  auto live_server = make_server(/*batching=*/true, /*cache=*/false);
-  RunResult idle = DriveLoad(live_server.get(), wl, kRequests, kClients,
-                             kPipeline, 0.0);
+  auto live_server = make_server(/*batching=*/true);
+  RunResult idle =
+      DriveLoad(live_server.get(), wl, kRequests, kClients, kPipeline);
 
   serve::UpdatePipelineConfig ucfg;
   ucfg.policy.mae_drift_fraction = 0.0;  // Every upward drift retrains.
@@ -495,8 +467,8 @@ int main(int argc, char** argv) {
          pipeline.Snapshot().ops_applied < 50) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  RunResult busy = DriveLoad(live_server.get(), wl, kRequests, kClients,
-                             kPipeline, 0.0);
+  RunResult busy =
+      DriveLoad(live_server.get(), wl, kRequests, kClients, kPipeline);
   feeding.store(false);
   feeder.join();
   serve::UpdatePipelineState pstate = pipeline.Snapshot();
@@ -541,7 +513,6 @@ int main(int argc, char** argv) {
   auto run_sharded = [&](size_t num_shards) {
     serve::ShardedConfig scfg;
     scfg.server.dim = db.dim();
-    scfg.server.enable_cache = false;
     scfg.server.scheduler.max_batch = 128;
     scfg.num_shards = num_shards;
     scfg.threads_per_shard = 1;
@@ -596,7 +567,6 @@ int main(int argc, char** argv) {
   {
     serve::ShardedConfig scfg;
     scfg.server.dim = db.dim();
-    scfg.server.enable_cache = false;
     scfg.server.scheduler.max_batch = 128;
     scfg.num_shards = kShards;
     scfg.threads_per_shard = 1;
@@ -791,7 +761,6 @@ int main(int argc, char** argv) {
     serve::ServerConfig scfg;
     scfg.dim = db.dim();
     scfg.enable_batching = true;
-    scfg.enable_cache = false;
     scfg.scheduler.max_batch = 128;
     scfg.trace_sample_every = sample_every;
     auto server = std::make_unique<serve::SelNetServer>(scfg);
@@ -801,18 +770,15 @@ int main(int argc, char** argv) {
   auto untraced_server = make_traced_server(0);
   auto traced_server = make_traced_server(64);
   // One unmeasured warmup pass each, so first-touch costs bias neither side.
-  DriveLoad(untraced_server.get(), wl, kRequests / 4, kClients, kPipeline,
-            0.0);
-  DriveLoad(traced_server.get(), wl, kRequests / 4, kClients, kPipeline, 0.0);
+  DriveLoad(untraced_server.get(), wl, kRequests / 4, kClients, kPipeline);
+  DriveLoad(traced_server.get(), wl, kRequests / 4, kClients, kPipeline);
   double untraced_qps = 0.0;
   double traced_qps = 0.0;
   for (int rep = 0; rep < 2; ++rep) {
     RunResult off =
-        DriveLoad(untraced_server.get(), wl, kRequests, kClients, kPipeline,
-                  0.0);
+        DriveLoad(untraced_server.get(), wl, kRequests, kClients, kPipeline);
     RunResult on =
-        DriveLoad(traced_server.get(), wl, kRequests, kClients, kPipeline,
-                  0.0);
+        DriveLoad(traced_server.get(), wl, kRequests, kClients, kPipeline);
     untraced_qps = std::max(untraced_qps, off.qps);
     traced_qps = std::max(traced_qps, on.qps);
   }
@@ -849,7 +815,6 @@ int main(int argc, char** argv) {
     auto make_node = [&] {
       serve::ShardNodeConfig ncfg;
       ncfg.server.dim = db.dim();
-      ncfg.server.enable_cache = false;
       ncfg.server.scheduler.max_batch = 128;
       ncfg.threads = 1;
       return std::make_unique<serve::ShardNode>(ncfg);
@@ -857,7 +822,6 @@ int main(int argc, char** argv) {
     auto make_fleet = [&](uint16_t port, bool telemetry) {
       serve::ShardedConfig scfg;
       scfg.server.dim = db.dim();
-      scfg.server.enable_cache = false;
       scfg.server.scheduler.max_batch = 128;
       scfg.num_shards = 1;
       scfg.threads_per_shard = 1;
@@ -1046,8 +1010,6 @@ int main(int argc, char** argv) {
     serve::JsonWriter metrics;
     metrics.Field("unbatched_qps", base.qps);
     metrics.Field("batched_qps", bat.qps);
-    metrics.Field("cached_qps", cac.qps);
-    metrics.Field("cached_hit_rate", cac.hit_rate);
     metrics.Field("sweep_scalar_us", scalar_us);
     metrics.Field("sweep_row_expansion_us", fallback_us);
     metrics.Field("sweep_fastpath_us", fast_us);

@@ -167,11 +167,11 @@ int RunServer(uint16_t port) {
       // failover / state-transfer totals.
       serve::StatsSnapshot s = frontend.FleetSnapshot();
       std::printf(
-          "[stats] %llu req, %.0f qps, p50 %.3f ms, p99 %.3f ms, hit rate "
-          "%.2f, traced %llu, slow %zu\n",
+          "[stats] %llu req, %.0f qps, p50 %.3f ms, p99 %.3f ms, curve hit "
+          "rate %.2f, traced %llu, slow %zu\n",
           (unsigned long long)s.requests, s.qps, s.latency_p50_ms,
-          s.latency_p99_ms, s.cache_hit_rate, (unsigned long long)s.traced,
-          s.slow_requests.size());
+          s.latency_p99_ms, serve::CurveHitRate(s),
+          (unsigned long long)s.traced, s.slow_requests.size());
       std::string replicas;
       for (const serve::SlotSnapshot& sl : s.slots) {
         replicas += " " + sl.endpoint + "=" + sl.health;
@@ -335,6 +335,7 @@ int main(int argc, char** argv) {
   serve::ServerConfig scfg;
   scfg.dim = db.dim();
   scfg.scheduler.max_batch = 64;
+  scfg.enable_curve_cache = true;
   serve::SelNetServer server(scfg);
   auto version = server.PublishFromFile(model_path);
   if (!version.ok()) {
@@ -357,6 +358,18 @@ int main(int argc, char** argv) {
               int(sweep.fast_path), "t", "estimate");
   for (size_t i = 0; i < ts.size(); ++i) {
     std::printf("%8.3f %12.1f\n", ts[i], sweep.estimates[i]);
+  }
+  // The same query at NEW thresholds: the curve cache holds query 0's
+  // control points, so this sweep skips the network entirely.
+  std::vector<float> shifted;
+  for (float t : ts) shifted.push_back(0.95f * t);
+  Ask(server,
+      serve::EstimateRequest::Sweep(wl.queries.row(0), db.dim(), shifted));
+  for (const serve::RouteSnapshot& r : server.stats().Snapshot().routes) {
+    std::printf("route %s: curve hit rate %.2f (%llu hits, %llu misses)\n",
+                r.route.c_str(), serve::CurveHitRate(r),
+                (unsigned long long)r.curve_hits,
+                (unsigned long long)r.curve_misses);
   }
 
   // 3b. Served A/B comparison: publish a KDE baseline under a second route

@@ -4,16 +4,13 @@
 #include <cmath>
 #include <cstring>
 
-#include "util/check.h"
-
 namespace selnet::serve {
 
 EstimateCache::EstimateCache(const CacheConfig& cfg) : cfg_(cfg) {
-  SEL_CHECK(cfg_.capacity > 0);
-  size_t shards = std::max<size_t>(1, std::min(cfg_.shards, cfg_.capacity));
-  scalars_.Init(cfg_.capacity, shards);
-  size_t curve_cap = std::max<size_t>(1, cfg_.curve_capacity);
-  curves_.Init(curve_cap, std::max<size_t>(1, std::min(cfg_.shards, curve_cap)));
+  size_t capacity = std::max<size_t>(1, cfg_.curve_capacity);
+  size_t shards = std::max<size_t>(1, std::min(cfg_.shards, capacity));
+  per_shard_capacity_ = (capacity + shards - 1) / shards;
+  shards_ = std::vector<Shard>(shards);
 }
 
 namespace {
@@ -27,7 +24,7 @@ inline uint64_t Mix(uint64_t h, uint64_t word) {
 }
 
 // murmur3's fmix64: every key bit depends on every input bit, so
-// ShardedLru's `key % shards` sees uniform low bits.
+// ShardFor's `key % shards` sees uniform low bits.
 inline uint64_t Finalize(uint64_t k) {
   k = (k ^ (k >> 33)) * 0xff51afd7ed558ccdULL;
   k = (k ^ (k >> 33)) * 0xc4ceb9fe1a85ec53ULL;
@@ -52,10 +49,6 @@ inline uint64_t Word(float v, float quantum) {
   return (uint64_t{1} << 62) | bits;
 }
 
-// Ends curve keys in place of the threshold word; top bits 10 are never a
-// Word, so a curve key never equals a scalar key of the same query.
-constexpr uint64_t kCurveTag = uint64_t{1} << 63;
-
 }  // namespace
 
 uint64_t EstimateCache::QueryDigest(const float* x, size_t dim) const {
@@ -64,36 +57,57 @@ uint64_t EstimateCache::QueryDigest(const float* x, size_t dim) const {
   return h;
 }
 
-uint64_t EstimateCache::Key(uint64_t model_version, uint64_t digest,
-                            float t) const {
-  return Finalize(
-      Mix(Mix(digest, model_version), Word(t, cfg_.threshold_quantum)));
-}
-
 uint64_t EstimateCache::CurveKey(uint64_t model_version,
                                  uint64_t digest) const {
-  return Finalize(Mix(Mix(digest, model_version), kCurveTag));
-}
-
-bool EstimateCache::Lookup(uint64_t key, float* value) {
-  return scalars_.Lookup(key, value);
-}
-
-void EstimateCache::Insert(uint64_t key, float value) {
-  scalars_.Insert(key, value);
+  return Finalize(Mix(digest, model_version));
 }
 
 bool EstimateCache::LookupCurve(uint64_t key, CurveEntry* entry) {
-  return curves_.Lookup(key, entry);
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  *entry = it->second->second;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void EstimateCache::InsertCurve(uint64_t key, CurveEntry entry) {
-  curves_.Insert(key, std::move(entry));
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it != shard.index.end()) {
+    it->second->second = std::move(entry);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
+  }
+  if (shard.lru.size() >= per_shard_capacity_) {
+    shard.index.erase(shard.lru.back().first);
+    shard.lru.pop_back();
+  }
+  shard.lru.emplace_front(key, std::move(entry));
+  shard.index[key] = shard.lru.begin();
 }
 
 void EstimateCache::Clear() {
-  scalars_.Clear();
-  curves_.Clear();
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.lru.clear();
+    shard.index.clear();
+  }
+}
+
+size_t EstimateCache::curve_size() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.lru.size();
+  }
+  return total;
 }
 
 }  // namespace selnet::serve

@@ -507,13 +507,13 @@ SelNetServer::ResponseFn NetFrontend::MakeCompletion(
     const std::shared_ptr<Conn>& conn, uint64_t tag, WireProto proto,
     std::shared_ptr<RequestTrace> traced, bool wire_traced) {
   // The completion may run on a pool worker, on the loop thread itself (a
-  // cache hit resolves inline under the submit), or after this frontend is
-  // gone if Stop() timed out — so it captures only the shared Conn (which
-  // carries its loop's wakeup) and the Shared block, never `this`, and
-  // takes no frontend lock. The trace shared_ptr rides along so a sampled
-  // request's encode (serialization) time lands in the Shared encode
-  // histogram — the server has already closed and flushed the span by the
-  // time this runs.
+  // shed or degraded answer resolves inline under the submit), or after
+  // this frontend is gone if Stop() timed out — so it captures only the
+  // shared Conn (which carries its loop's wakeup) and the Shared block,
+  // never `this`, and takes no frontend lock. The trace shared_ptr rides
+  // along so a sampled request's encode (serialization) time lands in the
+  // Shared encode histogram — the server has already closed and flushed the
+  // span by the time this runs.
   auto shared = shared_;
   return [shared, conn, tag, proto, traced = std::move(traced), wire_traced](
              EstimateResponse&& resp, std::exception_ptr error) {

@@ -17,9 +17,10 @@
 ///  * a scalar estimate is a request with one threshold — it joins the
 ///    cross-request coalesced batch like before;
 ///  * a threshold sweep is a request with K thresholds — answered in one pass
-///    through the SweepCapable fast path when the routed model supports it,
-///    or transparently row-expanded into the batch scheduler when it does
-///    not;
+///    through the SweepCapable fast path when the routed model supports it
+///    (from the cached curve of the same query when the curve cache holds
+///    it), or transparently row-expanded into the batch scheduler when it
+///    does not;
 ///  * A/B serving is two requests differing only in `model`.
 ///
 /// The request owns its data (`x` and `thresholds` are copied in), so the
@@ -105,14 +106,16 @@ struct EstimateResponse {
   std::vector<float> estimates;
   /// Registry slot that answered.
   std::string model;
-  /// Model version the request was admitted against. Rows that miss the
-  /// cache resolve their snapshot when their batch starts, so after a
-  /// concurrent republish individual estimates may come from a newer version.
+  /// Model version the request was admitted against. Row-expanded requests
+  /// resolve their snapshot when their batch starts, so after a concurrent
+  /// republish individual estimates may come from a newer version.
   uint64_t version = 0;
-  /// How many thresholds were answered from the cache.
+  /// Always 0; both wire layouts still carry it. The server sets nothing
+  /// here: a curve-cache answer is bit-identical to a fresh one, so response
+  /// checkers may verify every response.
   uint32_t cache_hits = 0;
-  /// True when the SweepCapable control-point fast path answered the
-  /// uncached thresholds in one pass.
+  /// True when the SweepCapable control-point fast path answered every
+  /// threshold in one pass.
   bool fast_path = false;
   /// Echo of EstimateRequest::tag.
   uint64_t tag = 0;

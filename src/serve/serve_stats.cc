@@ -36,11 +36,9 @@ RouteSnapshot ServeStats::RouteStats::Snapshot(const std::string& name) const {
   RouteSnapshot s;
   s.route = name;
   s.requests = requests_.load(std::memory_order_relaxed);
-  s.cache_hits = hits_.load(std::memory_order_relaxed);
-  s.cache_misses = misses_.load(std::memory_order_relaxed);
+  s.curve_hits = hits_.load(std::memory_order_relaxed);
+  s.curve_misses = misses_.load(std::memory_order_relaxed);
   s.sheds = sheds_.load(std::memory_order_relaxed);
-  uint64_t lookups = s.cache_hits + s.cache_misses;
-  if (lookups > 0) s.cache_hit_rate = double(s.cache_hits) / double(lookups);
   util::HistogramSnapshot hist = latency_.Snapshot();
   if (!hist.empty()) {
     s.latency_p50_ms = hist.ValueAtQuantile(0.50);
@@ -117,8 +115,6 @@ ServeStats::RouteStats* ServeStats::Route(const std::string& route) {
 
 void ServeStats::Reset() {
   requests_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
   batched_requests_.store(0, std::memory_order_relaxed);
   sweeps_.store(0, std::memory_order_relaxed);
@@ -157,8 +153,6 @@ void ServeStats::Reset() {
 StatsSnapshot ServeStats::Snapshot() const {
   StatsSnapshot s;
   s.requests = requests_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
   s.sweeps = sweeps_.load(std::memory_order_relaxed);
@@ -207,8 +201,6 @@ StatsSnapshot ServeStats::Snapshot() const {
     s.last_publish_age_s = s.elapsed_seconds - double(publish_ns) * 1e-9;
   }
   if (s.elapsed_seconds > 0) s.qps = double(s.requests) / s.elapsed_seconds;
-  uint64_t lookups = s.cache_hits + s.cache_misses;
-  if (lookups > 0) s.cache_hit_rate = double(s.cache_hits) / double(lookups);
   if (s.batches > 0) {
     s.avg_batch_size = double(s.batched_requests) / double(s.batches);
   }
@@ -244,7 +236,6 @@ std::string ServeStats::Report(const std::string& title) const {
   table.AddRow({"latency p99 (ms)", util::AsciiTable::Num(s.latency_p99_ms, 4)});
   table.AddRow({"latency mean (ms)",
                 util::AsciiTable::Num(s.latency_mean_ms, 4)});
-  table.AddRow({"cache hit rate", util::AsciiTable::Num(s.cache_hit_rate, 4)});
   table.AddRow({"batches", std::to_string(s.batches)});
   table.AddRow({"avg batch size", util::AsciiTable::Num(s.avg_batch_size, 2)});
   table.AddRow({"sweeps", std::to_string(s.sweeps)});
@@ -328,12 +319,12 @@ std::string ServeStats::Report(const std::string& title) const {
   // Per-route section: the one-report A/B view.
   if (!s.routes.empty()) {
     util::AsciiTable routes({"route", "requests", "p50 ms", "p99 ms",
-                             "hit rate"});
+                             "curve hit rate"});
     for (const auto& r : s.routes) {
       routes.AddRow({r.route, std::to_string(r.requests),
                      util::AsciiTable::Num(r.latency_p50_ms, 4),
                      util::AsciiTable::Num(r.latency_p99_ms, 4),
-                     util::AsciiTable::Num(r.cache_hit_rate, 4)});
+                     util::AsciiTable::Num(CurveHitRate(r), 4)});
     }
     out += "\n" + routes.ToString();
   }
@@ -348,8 +339,6 @@ StatsSnapshot AggregateSnapshots(const std::vector<StatsSnapshot>& shards) {
   double worst_p50 = 0.0, worst_p99 = 0.0;
   for (const StatsSnapshot& s : shards) {
     agg.requests += s.requests;
-    agg.cache_hits += s.cache_hits;
-    agg.cache_misses += s.cache_misses;
     agg.batches += s.batches;
     agg.batched_requests += s.batched_requests;
     agg.sweeps += s.sweeps;
@@ -395,10 +384,6 @@ StatsSnapshot AggregateSnapshots(const std::vector<StatsSnapshot>& shards) {
     agg.pack_builds = s.pack_builds;
     agg.gemm_kernel = s.gemm_kernel;
   }
-  uint64_t lookups = agg.cache_hits + agg.cache_misses;
-  if (lookups > 0) {
-    agg.cache_hit_rate = double(agg.cache_hits) / double(lookups);
-  }
   if (agg.batches > 0) {
     agg.avg_batch_size = double(agg.batched_requests) / double(agg.batches);
   }
@@ -428,9 +413,6 @@ std::string StatsToJson(const StatsSnapshot& s) {
   w.Field("requests", s.requests);
   w.Field("qps", s.qps);
   w.Field("elapsed_s", s.elapsed_seconds);
-  w.Field("cache_hits", s.cache_hits);
-  w.Field("cache_misses", s.cache_misses);
-  w.Field("cache_hit_rate", s.cache_hit_rate);
   w.Field("batches", s.batches);
   w.Field("avg_batch_size", s.avg_batch_size);
   w.Field("sweeps", s.sweeps);
@@ -486,7 +468,8 @@ std::string StatsToJson(const StatsSnapshot& s) {
       rw.Field("sheds", r.sheds);
       rw.Field("p50_ms", r.latency_p50_ms);
       rw.Field("p99_ms", r.latency_p99_ms);
-      rw.Field("cache_hit_rate", r.cache_hit_rate);
+      rw.Field("curve_hits", r.curve_hits);
+      rw.Field("curve_misses", r.curve_misses);
       if (i > 0) routes += ",";
       routes += rw.Finish();
     }
@@ -577,10 +560,10 @@ std::string RenderStatsExposition(const StatsSnapshot& s) {
   std::string out;
   out += "# TYPE selnet_requests_total counter\n";
   AppendSample(out, "selnet_requests_total", "", s.requests);
-  out += "# TYPE selnet_cache_hits_total counter\n";
-  AppendSample(out, "selnet_cache_hits_total", "", s.cache_hits);
-  out += "# TYPE selnet_cache_misses_total counter\n";
-  AppendSample(out, "selnet_cache_misses_total", "", s.cache_misses);
+  out += "# TYPE selnet_curve_hits_total counter\n";
+  AppendSample(out, "selnet_curve_hits_total", "", s.curve_hits);
+  out += "# TYPE selnet_curve_misses_total counter\n";
+  AppendSample(out, "selnet_curve_misses_total", "", s.curve_misses);
   out += "# TYPE selnet_batches_total counter\n";
   AppendSample(out, "selnet_batches_total", "", s.batches);
   out += "# TYPE selnet_sweeps_total counter\n";

@@ -18,7 +18,7 @@
 
 /// \file serve_stats.h
 /// \brief Serving-side observability: request counters, latency histograms,
-/// cache hit rate, batching efficiency, per-stage spans, per-route
+/// curve-cache hits, batching efficiency, per-stage spans, per-route
 /// breakdowns, and the live-update pipeline's progress.
 ///
 /// All recording paths are lock-free (atomic counters plus the lock-free
@@ -51,24 +51,21 @@ struct SlotSnapshot {
 struct RouteSnapshot {
   std::string route;
   uint64_t requests = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t sheds = 0;  ///< Typed rejections charged to this route.
-  double cache_hit_rate = 0.0;
+  uint64_t curve_hits = 0;    ///< Curve-cache lookups on this route that hit.
+  uint64_t curve_misses = 0;  ///< Curve-cache lookups that missed.
+  uint64_t sheds = 0;         ///< Typed rejections charged to this route.
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
 };
 
 /// \brief Point-in-time view of the serving counters.
 struct StatsSnapshot {
-  uint64_t requests = 0;        ///< Estimates answered (cache hits included).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
+  uint64_t requests = 0;        ///< Estimates answered.
   uint64_t batches = 0;         ///< Batched Predict calls issued.
   uint64_t batched_requests = 0;  ///< Requests answered through batches.
   uint64_t sweeps = 0;          ///< Multi-threshold requests submitted.
   uint64_t sweep_fastpath = 0;  ///< Sweeps answered via SweepCapable.
-  uint64_t curve_hits = 0;      ///< Sweeps answered from a cached PWL curve.
+  uint64_t curve_hits = 0;      ///< Requests answered from a cached PWL curve.
   uint64_t curve_misses = 0;    ///< Curve-cache lookups that missed.
   uint64_t swaps = 0;           ///< Model hot-swaps observed.
   uint64_t traced = 0;          ///< Requests that carried a sampled trace.
@@ -100,7 +97,6 @@ struct StatsSnapshot {
   std::string gemm_kernel;
   double elapsed_seconds = 0.0;
   double qps = 0.0;
-  double cache_hit_rate = 0.0;  ///< hits / (hits + misses); 0 when unused.
   double avg_batch_size = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -129,6 +125,14 @@ struct StatsSnapshot {
   std::vector<SlotSnapshot> slots;
 };
 
+/// \brief curve_hits / (curve_hits + curve_misses) of a StatsSnapshot or a
+/// RouteSnapshot; 0 when the curve cache was never consulted.
+template <typename Snapshot>
+double CurveHitRate(const Snapshot& s) {
+  uint64_t lookups = s.curve_hits + s.curve_misses;
+  return lookups > 0 ? double(s.curve_hits) / double(lookups) : 0.0;
+}
+
 /// \brief Nearest-rank percentile of an ASCENDING-sorted sample vector:
 /// the ceil(p * n)-th smallest sample (p in (0, 1]; p <= 0 returns the
 /// minimum). This is the reference the histogram's ValueAtQuantile
@@ -137,7 +141,7 @@ struct StatsSnapshot {
 double PercentileOfSorted(const std::vector<double>& sorted, double p);
 
 /// \brief Merge per-shard snapshots into one fleet view (used by the sharded
-/// registry's report). Counters and QPS sum; hit/batch rates are recomputed
+/// registry's report). Counters and QPS sum; the batch rate is recomputed
 /// from the summed counters; latency percentiles are computed from the
 /// bucket-wise MERGED histograms, so the fleet p50/p99 is the percentile of
 /// the pooled samples (within the histogram's relative-error bound), not a
@@ -174,6 +178,7 @@ class ServeStats {
     void RecordRequests(uint64_t n) {
       requests_.fetch_add(n, std::memory_order_relaxed);
     }
+    /// \brief One curve-cache lookup on this route.
     void RecordCache(bool hit) {
       (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
     }
@@ -195,10 +200,6 @@ class ServeStats {
   ServeStats();
 
   void RecordRequest() { requests_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
   void RecordSwap() { swaps_.fetch_add(1, std::memory_order_relaxed); }
   /// \brief One multi-threshold request; `fast_path` when the SweepCapable
   /// control-point path answered it.
@@ -296,8 +297,6 @@ class ServeStats {
 
  private:
   std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> batched_requests_{0};
   std::atomic<uint64_t> sweeps_{0};

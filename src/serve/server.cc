@@ -39,11 +39,11 @@ struct SelNetServer::PendingResponse {
   }
 
   /// Invoke `done` exactly once: the first recorded error wins; otherwise
-  /// repair a sorted sweep to a non-decreasing column. The served estimator
-  /// is monotone, but cache hits may come from a quantized-neighbour query
-  /// and fallback rows may straddle a republish, either of which can dent
-  /// the column by a hair — the running max restores the documented
-  /// guarantee unconditionally.
+  /// repair a sorted sweep to a non-decreasing column. The fast path is
+  /// monotone by construction, but row-expanded sweeps come from estimators
+  /// that need not be consistent (the baselines) and from rows that may
+  /// straddle a republish, either of which can dent the column — the
+  /// running max restores the documented guarantee unconditionally.
   void Finalize() {
     // Close and flush the sampled span first: per-stage histograms plus the
     // slow-request ring. Encode (frontend serialization) happens after this
@@ -168,13 +168,6 @@ tensor::Matrix SelNetServer::PredictOnHandle(const ModelHandle& handle,
         std::to_string(x.rows()) + " rows");
   }
   stats_.RecordBatch(x.rows());
-  if (cfg_.enable_cache) {
-    for (size_t i = 0; i < x.rows(); ++i) {
-      // Rows come from different requests: one digest each.
-      uint64_t digest = cache_.QueryDigest(x.row(i), cfg_.dim);
-      cache_.Insert(cache_.Key(handle.version, digest, t(i, 0)), y(i, 0));
-    }
-  }
   return y;
 }
 
@@ -190,8 +183,7 @@ tensor::Matrix SelNetServer::PredictOnModel(const std::string& model,
 
 void SelNetServer::RunSweepFastPath(
     const std::shared_ptr<PendingResponse>& state, const EstimateRequest& req,
-    const ModelHandle& handle, const std::vector<size_t>& missing,
-    uint64_t digest, std::chrono::steady_clock::time_point enqueued,
+    const ModelHandle& handle, std::chrono::steady_clock::time_point enqueued,
     ServeStats::RouteStats* route_stats) {
   // On the pooled path everything before this point was pool wait; that is
   // the fast path's queue stage.
@@ -212,46 +204,21 @@ void SelNetServer::RunSweepFastPath(
     return;
   }
   try {
-    std::vector<float> ts(missing.size());
-    for (size_t r = 0; r < missing.size(); ++r) {
-      ts[r] = req.thresholds[missing[r]];
-    }
-    // Sweep-curve cache: if this (version, query)'s PWL control points are
-    // cached — or the model can hand them to us — answer every threshold
-    // with local PWL lookups. On a hit the network is skipped entirely; the
-    // arithmetic mirrors SelNetCt::SweepEstimate, so values are bit-identical
-    // to the uncached fast path. Independent of the scalar cache flag; the
-    // capability is probed first so ServeStats and EstimateCache curve
-    // counters agree exactly.
-    std::vector<float> values;
-    if (cfg_.enable_curve_cache &&
-        handle.model.sweep()->SupportsSweepCurve()) {
-      uint64_t curve_key = cache_.CurveKey(handle.version, digest);
-      CurveEntry entry;
-      bool hit = cache_.LookupCurve(curve_key, &entry);
-      stats_.RecordCurveLookup(hit);
-      if (!hit &&
-          handle.model.sweep()->SweepCurve(req.x.data(), &entry.tau,
-                                           &entry.p)) {
-        cache_.InsertCurve(curve_key, entry);
+    const size_t k = req.thresholds.size();
+    std::vector<float>& estimates = state->resp.estimates;
+    if (!EvalCurve(handle, req, /*compute_on_miss=*/true, route_stats,
+                   estimates.data())) {
+      estimates = handle.model.sweep()->SweepEstimate(
+          req.x.data(), req.thresholds.data(), k);
+      if (estimates.size() != k) {
+        // A SweepCapable contract violation is a bug in the *published
+        // model*, not a server invariant — fail the request, never the
+        // process.
+        throw std::runtime_error(
+            "SelNetServer: SweepEstimate on '" + handle.name + "' returned " +
+            std::to_string(estimates.size()) + " values for " +
+            std::to_string(k) + " thresholds");
       }
-      if (!entry.tau.empty()) {
-        core::PiecewiseLinear pwl(std::move(entry.tau), std::move(entry.p));
-        values.resize(ts.size());
-        for (size_t r = 0; r < ts.size(); ++r) values[r] = pwl(ts[r]);
-      }
-    }
-    if (values.empty()) {
-      values =
-          handle.model.sweep()->SweepEstimate(req.x.data(), ts.data(), ts.size());
-    }
-    if (values.size() != missing.size()) {
-      // A SweepCapable contract violation is a bug in the *published model*,
-      // not a server invariant — fail the request, never the process.
-      throw std::runtime_error(
-          "SelNetServer: SweepEstimate on '" + handle.name + "' returned " +
-          std::to_string(values.size()) + " values for " +
-          std::to_string(missing.size()) + " thresholds");
     }
     // Latency from submit (pool queueing included), recorded undivided per
     // threshold: every threshold waited the full wall time, exactly like
@@ -265,11 +232,7 @@ void SelNetServer::RunSweepFastPath(
                                finished - compute_start)
                                .count());
     }
-    for (size_t r = 0; r < missing.size(); ++r) {
-      state->resp.estimates[missing[r]] = values[r];
-      if (cfg_.enable_cache) {
-        cache_.Insert(cache_.Key(handle.version, digest, ts[r]), values[r]);
-      }
+    for (size_t r = 0; r < k; ++r) {
       stats_.RecordLatencyMs(elapsed_ms);
       route_stats->RecordLatencyMs(elapsed_ms);
     }
@@ -279,6 +242,46 @@ void SelNetServer::RunSweepFastPath(
   state->Finalize();
 }
 
+bool SelNetServer::EvalCurve(const ModelHandle& h, const EstimateRequest& req,
+                             bool compute_on_miss,
+                             ServeStats::RouteStats* route_stats, float* out) {
+  // The capability is probed first so ServeStats and EstimateCache curve
+  // counters agree exactly.
+  if (!cfg_.enable_curve_cache || !h.model.sweep_capable() ||
+      !h.model.sweep()->SupportsSweepCurve()) {
+    return false;
+  }
+  const uint64_t key =
+      cache_.CurveKey(h.version, cache_.QueryDigest(req.x.data(), cfg_.dim));
+  CurveEntry entry;
+  const bool hit = cache_.LookupCurve(key, &entry);
+  stats_.RecordCurveLookup(hit);
+  route_stats->RecordCache(hit);
+  if (!hit) {
+    if (!compute_on_miss ||
+        !h.model.sweep()->SweepCurve(req.x.data(), &entry.tau, &entry.p)) {
+      return false;
+    }
+    // A malformed curve is a bug in the *published model*: fail the request
+    // before core::PiecewiseLinear's checks abort the process, and never
+    // cache it.
+    if (entry.tau.size() < 2 || entry.tau.size() != entry.p.size()) {
+      throw std::runtime_error(
+          "SelNetServer: SweepCurve on '" + h.name + "' returned " +
+          std::to_string(entry.tau.size()) + " knots and " +
+          std::to_string(entry.p.size()) + " values");
+    }
+    cache_.InsertCurve(key, entry);
+  }
+  // The arithmetic mirrors SelNetCt::SweepEstimate, so a cached curve is
+  // bit-identical to the model's own sweep path.
+  core::PiecewiseLinear pwl(std::move(entry.tau), std::move(entry.p));
+  for (size_t i = 0; i < req.thresholds.size(); ++i) {
+    out[i] = pwl(req.thresholds[i]);
+  }
+  return true;
+}
+
 bool SelNetServer::TryDegrade(const EstimateRequest& req,
                               const std::string& route,
                               const ResponseFn& done) {
@@ -286,25 +289,19 @@ bool SelNetServer::TryDegrade(const EstimateRequest& req,
   Result<ModelHandle> handle = registry_.Get(route);
   if (!handle.ok()) return false;
   const ModelHandle& h = handle.ValueOrDie();
-  uint64_t key =
-      cache_.CurveKey(h.version, cache_.QueryDigest(req.x.data(), cfg_.dim));
-  CurveEntry entry;
-  bool hit = cache_.LookupCurve(key, &entry);
-  stats_.RecordCurveLookup(hit);
-  if (!hit || entry.tau.empty()) return false;
   // Strictly a cache read + local PWL arithmetic: bit-identical to the
   // curve-cached fast path for this version, but possibly a version behind
   // the latest publish — that staleness is the degrade contract.
-  core::PiecewiseLinear pwl(std::move(entry.tau), std::move(entry.p));
   EstimateResponse resp;
+  resp.estimates.resize(req.thresholds.size());
+  if (!EvalCurve(h, req, /*compute_on_miss=*/false, stats_.Route(route),
+                 resp.estimates.data())) {
+    return false;
+  }
   resp.model = route;
   resp.version = h.version;
   resp.tag = req.tag;
   resp.degraded = true;
-  resp.estimates.resize(req.thresholds.size());
-  for (size_t i = 0; i < req.thresholds.size(); ++i) {
-    resp.estimates[i] = pwl(req.thresholds[i]);
-  }
   stats_.RecordDegraded();
   done(std::move(resp), nullptr);
   return true;
@@ -400,12 +397,12 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
         .count();
   };
 
-  // One logical estimate per threshold: QPS and hit-rate stay comparable
-  // across request shapes.
+  // One logical estimate per threshold: QPS stays comparable across request
+  // shapes.
   for (size_t i = 0; i < k; ++i) stats_.RecordRequest();
 
-  // Pin the routed snapshot: the cache pre-pass, the fast path, and the
-  // unbatched fallback all answer against this version.
+  // Pin the routed snapshot: the fast path and the unbatched fallback both
+  // answer against this version.
   Result<ModelHandle> handle = registry_.Get(state->resp.model);
   if (!handle.ok()) {
     if (handle.status().code() == util::StatusCode::kNotFound) {
@@ -428,72 +425,39 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
   route_stats->RecordRequests(k);
   if (traced) req.trace->Observe(Stage::kRoute, stage_ms_since(enqueued));
 
-  const auto cache_start = traced ? std::chrono::steady_clock::now() : enqueued;
-  // One quantized-query hash per request; every key below derives from it.
-  const uint64_t digest = cfg_.enable_cache || cfg_.enable_curve_cache
-                              ? cache_.QueryDigest(req.x.data(), cfg_.dim)
-                              : 0;
-  std::vector<size_t> missing;
-  missing.reserve(k);
-  if (cfg_.enable_cache) {
-    for (size_t i = 0; i < k; ++i) {
-      uint64_t key = cache_.Key(h.version, digest, req.thresholds[i]);
-      if (cache_.Lookup(key, &state->resp.estimates[i])) {
-        stats_.RecordCacheHit();
-        route_stats->RecordCache(true);
-        ++state->resp.cache_hits;
-      } else {
-        stats_.RecordCacheMiss();
-        route_stats->RecordCache(false);
-        missing.push_back(i);
-      }
-    }
-    if (traced) req.trace->Observe(Stage::kCache, stage_ms_since(cache_start));
-  } else {
-    for (size_t i = 0; i < k; ++i) missing.push_back(i);
-  }
-
-  bool fast_path = cfg_.enable_sweep_fastpath && h.model.sweep_capable() &&
-                   missing.size() >= cfg_.sweep_fastpath_min;
+  // One control-point evaluation answers every threshold of a sweep; a
+  // single threshold batches better with its neighbours.
+  const bool fast_path = k > 1 && h.model.sweep_capable();
   if (k > 1) stats_.RecordSweep(fast_path);
-  if (missing.empty()) {
-    state->Finalize();
-    return;
-  }
-
   if (fast_path) {
     state->resp.fast_path = true;
     if (scheduler_) {
-      // Off the caller's thread, like any other miss. shared_ptr wrappers
-      // because ThreadPool tasks must be copyable.
+      // Off the caller's thread, like any other compute. A shared_ptr
+      // wrapper because ThreadPool tasks must be copyable.
       auto shared_req = std::make_shared<EstimateRequest>(std::move(req));
-      auto shared_missing =
-          std::make_shared<std::vector<size_t>>(std::move(missing));
       {
         std::lock_guard<std::mutex> lock(sweep_mu_);
         ++sweep_inflight_;
       }
-      pool_->Submit([this, state, shared_req, h, shared_missing, digest,
-                     enqueued, route_stats] {
-        RunSweepFastPath(state, *shared_req, h, *shared_missing, digest,
-                         enqueued, route_stats);
+      pool_->Submit([this, state, shared_req, h, enqueued, route_stats] {
+        RunSweepFastPath(state, *shared_req, h, enqueued, route_stats);
         std::lock_guard<std::mutex> lock(sweep_mu_);
         --sweep_inflight_;
         sweep_cv_.notify_all();
       });
     } else {
-      RunSweepFastPath(state, req, h, missing, digest, enqueued, route_stats);
+      RunSweepFastPath(state, req, h, enqueued, route_stats);
     }
     return;
   }
 
   if (scheduler_) {
-    // Row expansion: each missing threshold becomes a scheduler row that
-    // coalesces with other requests' rows. Rows resolve their snapshot when
-    // their batch starts; the sorted-sweep repair in Finalize absorbs any
+    // Row expansion: each threshold becomes a scheduler row that coalesces
+    // with other requests' rows. Rows resolve their snapshot when their
+    // batch starts; the sorted-sweep repair in Finalize absorbs any
     // mid-sweep republish.
-    state->remaining.store(missing.size(), std::memory_order_relaxed);
-    for (size_t idx : missing) {
+    state->remaining.store(k, std::memory_order_relaxed);
+    for (size_t idx = 0; idx < k; ++idx) {
       BatchScheduler::Row row;
       row.model = state->resp.model;
       row.x = req.x;
@@ -522,23 +486,23 @@ void SelNetServer::SubmitOne(EstimateRequest req, ResponseFn done,
     return;
   }
 
-  // Unbatched path: one Predict over the missing rows on the pinned
+  // Unbatched path: one Predict over the request's rows on the pinned
   // snapshot, inline on the caller (the throughput baseline).
   util::Stopwatch watch;
   try {
-    tensor::Matrix xm(missing.size(), cfg_.dim);
-    tensor::Matrix tm(missing.size(), 1);
-    for (size_t r = 0; r < missing.size(); ++r) {
+    tensor::Matrix xm(k, cfg_.dim);
+    tensor::Matrix tm(k, 1);
+    for (size_t r = 0; r < k; ++r) {
       std::copy(req.x.begin(), req.x.end(), xm.row(r));
-      tm(r, 0) = req.thresholds[missing[r]];
+      tm(r, 0) = req.thresholds[r];
     }
     tensor::Matrix y = PredictOnHandle(h, xm, tm);
     // Undivided per threshold, consistent with the other paths: each
     // threshold waited the whole Predict.
     double elapsed_ms = watch.ElapsedMillis();
     if (state->trace) state->trace->Observe(Stage::kPredict, elapsed_ms);
-    for (size_t r = 0; r < missing.size(); ++r) {
-      state->resp.estimates[missing[r]] = y(r, 0);
+    for (size_t r = 0; r < k; ++r) {
+      state->resp.estimates[r] = y(r, 0);
       stats_.RecordLatencyMs(elapsed_ms);
       route_stats->RecordLatencyMs(elapsed_ms);
     }

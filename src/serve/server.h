@@ -19,22 +19,21 @@
 #include "util/status.h"
 
 /// \file server.h
-/// \brief SelNetServer: the serving facade tying registry, scheduler, cache
-/// and stats into one request-object endpoint.
+/// \brief SelNetServer: the serving facade tying registry, scheduler, curve
+/// cache and stats into one request-object endpoint.
 ///
 /// Request path — SubmitWith(EstimateRequest, ResponseFn):
 ///   1. resolve the routed registry slot and pin its snapshot;
-///   2. cache lookup per threshold on (version, quantized x, t); a fully
-///      cached request resolves immediately;
-///   3. remaining thresholds:
-///        * SweepCapable model and >= sweep_fastpath_min misses -> ONE
-///          control-point evaluation answers them all (K PWL lookups instead
-///          of K batched Predict rows), on a pool worker;
-///        * otherwise -> row expansion into the BatchScheduler, where the
-///          rows coalesce with other requests (any model mix; each batch
-///          groups by route);
-///   4. completion fills the cache, repairs sorted sweeps to a non-decreasing
-///      column, and invokes the caller's ResponseFn.
+///   2. a SweepCapable model with K >= 2 thresholds -> ONE control-point
+///      evaluation answers them all (K PWL lookups instead of K batched
+///      Predict rows), on a pool worker. With the curve cache on, the
+///      query's control points come from (or are stored into) the
+///      EstimateCache first, so a repeat query skips the network at any t;
+///   3. otherwise (one threshold, or a model without sweeps) -> row
+///      expansion into the BatchScheduler, where the rows coalesce with other
+///      requests (any model mix; each batch groups by route);
+///   4. completion repairs sorted sweeps to a non-decreasing column and
+///      invokes the caller's ResponseFn.
 ///
 /// SubmitMany is the same path for a batch of requests: their scheduler rows
 /// reach the BatchScheduler in one SubmitRows call.
@@ -43,14 +42,15 @@
 /// rows resolve their snapshot when a worker starts their batch, so
 /// in-flight rows finish on whichever version they were batched against and
 /// nothing fails mid-swap; fast-path sweeps run entirely on the snapshot
-/// pinned at submit. Cache keys embed the version, so a swap implicitly
+/// pinned at submit. Curve keys embed the version, so a swap implicitly
 /// invalidates — stale entries stop matching and age out of the LRU.
 ///
 /// Consistency dividend (the paper's monotonicity guarantee): because served
 /// estimators are monotone in t, a sorted sweep's response column is
-/// non-decreasing; the fast path gets this from the monotone PWL directly and
-/// the fallback applies a running-max repair across cache-quantum and
-/// mid-sweep-swap artifacts.
+/// non-decreasing; the fast path gets this from the monotone PWL directly.
+/// Row-expanded sweeps get a running-max repair, which covers estimators
+/// that are not consistent (the baselines) and rows that straddle a
+/// mid-sweep republish.
 ///
 /// Overload behavior (ServerConfig::admission, off by default): before any
 /// routing or compute, SubmitWith checks the request's deadline (already
@@ -77,24 +77,15 @@ struct ServerConfig {
   std::string model_name = "default";  ///< Registry slot served by default.
   SchedulerConfig scheduler;
   CacheConfig cache;
-  bool enable_cache = true;
   bool enable_batching = true;  ///< false = direct per-request Predict
                                 ///  (the bench baseline).
-  /// Use the SweepCapable control-point path for multi-threshold requests
-  /// when the routed model supports it (off = always row-expand; the bench
-  /// uses this to measure the fallback).
-  bool enable_sweep_fastpath = true;
-  /// Minimum uncached thresholds before the fast path engages; below this a
-  /// scalar-shaped request batches better with its neighbours.
-  size_t sweep_fastpath_min = 2;
-  /// Sweep-curve cache: store each query's whole PWL control-point set keyed
-  /// on (model version, quantized x) when the routed model reports
-  /// eval::SweepCapable::SupportsSweepCurve. A repeat query at NEW
+  /// The one cache switch. Stores each query's whole PWL control-point set
+  /// keyed on (model version, quantized x) when the routed model reports
+  /// eval::SweepCapable::SupportsSweepCurve. A repeat sweep at NEW
   /// thresholds then skips the network entirely — the server evaluates the
-  /// cached PWL, which is bit-identical to the model's own sweep path (same
-  /// quantized-neighbour caveat as the scalar cache). Independent of
-  /// `enable_cache` (it only feeds the sweep fast path); sized by
-  /// CacheConfig::curve_capacity.
+  /// cached PWL, which is bit-identical to the model's own sweep path (up to
+  /// CacheConfig::query_quantum: neighbours in one quantization cell share an
+  /// entry). Sized by CacheConfig::curve_capacity.
   bool enable_curve_cache = false;
   /// Stage-trace sampling: trace 1 in N requests end to end (0 = tracing
   /// off). A request arriving WITH a trace already attached (the NetFrontend
@@ -162,8 +153,8 @@ class SelNetServer {
 
   /// \brief Completion callback for SubmitWith: exactly one of the response
   /// (success) or the exception (failure) is meaningful. May be invoked from
-  /// the caller's thread (cache hit, validation error, unbatched path) or a
-  /// pool worker.
+  /// the caller's thread (shed, degraded answer, validation error, unbatched
+  /// path) or a pool worker.
   using ResponseFn =
       std::function<void(EstimateResponse&& response, std::exception_ptr error)>;
 
@@ -181,8 +172,8 @@ class SelNetServer {
 
   /// \brief Submit many requests at once (the frontend's batched-decode
   /// path: one read round of binary frames arrives as one call). Semantics
-  /// are identical to per-request SubmitWith — validation, admission, cache,
-  /// and fast path all run per request — but every scheduler row the batch
+  /// are identical to per-request SubmitWith — validation, admission and the
+  /// fast path all run per request — but every scheduler row the batch
   /// produces is enqueued under ONE scheduler lock acquisition, which starts
   /// runners only for idle pool workers, instead of one acquisition per row.
   void SubmitMany(std::vector<Submission> batch);
@@ -220,13 +211,13 @@ class SelNetServer {
  private:
   struct PendingResponse;
 
-  /// The body of both entry points: validation, admission, cache, fast
-  /// path. Row-expanded thresholds are appended to `rows`; the caller hands
-  /// them to the scheduler in one SubmitRows.
+  /// The body of both entry points: validation, admission, fast path.
+  /// Row-expanded thresholds are appended to `rows`; the caller hands them to
+  /// the scheduler in one SubmitRows.
   void SubmitOne(EstimateRequest req, ResponseFn done,
                  std::vector<BatchScheduler::Row>* rows);
 
-  /// Run one batched Predict on `handle`'s snapshot: stats + cache fill.
+  /// Run one batched Predict on `handle`'s snapshot and record the batch.
   tensor::Matrix PredictOnHandle(const ModelHandle& handle,
                                  const tensor::Matrix& x,
                                  const tensor::Matrix& t);
@@ -234,16 +225,22 @@ class SelNetServer {
   tensor::Matrix PredictOnModel(const std::string& model,
                                 const tensor::Matrix& x,
                                 const tensor::Matrix& t);
-  /// Answer `missing` thresholds of `req` through one SweepCapable pass.
+  /// Answer every threshold of `req` through one SweepCapable pass.
   /// `enqueued` is the submit time, so recorded latency includes pool queue
-  /// delay and stays comparable with scheduler-row latency. `digest` is
-  /// `req.x`'s EstimateCache::QueryDigest (0 with both caches off);
-  /// `route_stats` is the request's per-route accumulator.
+  /// delay and stays comparable with scheduler-row latency; `route_stats` is
+  /// the request's per-route accumulator.
   void RunSweepFastPath(const std::shared_ptr<PendingResponse>& state,
                         const EstimateRequest& req, const ModelHandle& handle,
-                        const std::vector<size_t>& missing, uint64_t digest,
                         std::chrono::steady_clock::time_point enqueued,
                         ServeStats::RouteStats* route_stats);
+  /// Evaluate `req`'s thresholds into `out` from the query's curve: look it
+  /// up in the curve cache and, on a miss with `compute_on_miss`, ask the
+  /// model for it and cache it. Returns false — nothing written — when the
+  /// curve cache is off, the model has no curves, or no curve was found.
+  /// Throws std::runtime_error on a malformed curve, which is never cached.
+  bool EvalCurve(const ModelHandle& h, const EstimateRequest& req,
+                 bool compute_on_miss, ServeStats::RouteStats* route_stats,
+                 float* out);
   /// Degrade instead of shedding: answer `req` from the version-keyed cached
   /// sweep curve (local PWL evaluation, zero model compute) when the curve
   /// cache holds this query's control points. Returns false — caller sheds —

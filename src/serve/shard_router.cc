@@ -813,14 +813,14 @@ std::vector<SpanRecord> ShardedRegistry::SlowSpans() const {
 std::string ShardedRegistry::StatsReport() const {
   std::vector<StatsSnapshot> snaps = ShardSnapshots();
   util::AsciiTable table({"shard", "routes", "requests", "qps", "p50 ms",
-                          "p99 ms", "hit rate", "swaps"});
+                          "p99 ms", "curve hit rate", "swaps"});
   for (size_t s = 0; s < snaps.size(); ++s) {
     table.AddRow({std::to_string(s), std::to_string(snaps[s].routes.size()),
                   std::to_string(snaps[s].requests),
                   util::AsciiTable::Num(snaps[s].qps, 1),
                   util::AsciiTable::Num(snaps[s].latency_p50_ms, 4),
                   util::AsciiTable::Num(snaps[s].latency_p99_ms, 4),
-                  util::AsciiTable::Num(snaps[s].cache_hit_rate, 4),
+                  util::AsciiTable::Num(CurveHitRate(snaps[s]), 4),
                   std::to_string(snaps[s].swaps)});
   }
   StatsSnapshot agg = AggregateSnapshots(snaps);
@@ -829,21 +829,21 @@ std::string ShardedRegistry::StatsReport() const {
                 util::AsciiTable::Num(agg.qps, 1),
                 util::AsciiTable::Num(agg.latency_p50_ms, 4),
                 util::AsciiTable::Num(agg.latency_p99_ms, 4),
-                util::AsciiTable::Num(agg.cache_hit_rate, 4),
+                util::AsciiTable::Num(CurveHitRate(agg), 4),
                 std::to_string(agg.swaps)});
   std::string out = "sharded serving (" + std::to_string(shards_.size()) +
                     " shards)\n" + table.ToString();
   // Per-route placement: which shard owns what (the A/B view, sharded).
   if (!agg.routes.empty()) {
     util::AsciiTable routes({"route", "shard", "requests", "p50 ms", "p99 ms",
-                             "hit rate"});
+                             "curve hit rate"});
     for (size_t s = 0; s < snaps.size(); ++s) {
       for (const auto& r : snaps[s].routes) {
         routes.AddRow({r.route, std::to_string(s),
                        std::to_string(r.requests),
                        util::AsciiTable::Num(r.latency_p50_ms, 4),
                        util::AsciiTable::Num(r.latency_p99_ms, 4),
-                       util::AsciiTable::Num(r.cache_hit_rate, 4)});
+                       util::AsciiTable::Num(CurveHitRate(r), 4)});
       }
     }
     out += "\n" + routes.ToString();

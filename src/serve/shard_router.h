@@ -242,8 +242,8 @@ class ShardedRegistry {
   /// \brief Every shard's retained slow-request spans, shard order.
   std::vector<SpanRecord> SlowSpans() const;
 
-  /// \brief One report: a per-shard section (requests/QPS/p99/hit-rate per
-  /// shard) followed by the merged fleet totals.
+  /// \brief One report: a per-shard section (requests/QPS/p99/curve hit rate
+  /// per shard) followed by the merged fleet totals.
   std::string StatsReport() const;
 
   /// \brief Scrape every healthy remote's stats_wire snapshot NOW,

@@ -8,7 +8,6 @@ const char* StageName(Stage s) {
   switch (s) {
     case Stage::kDecode: return "decode";
     case Stage::kRoute: return "route";
-    case Stage::kCache: return "cache";
     case Stage::kQueue: return "queue";
     case Stage::kPredict: return "predict";
     case Stage::kEncode: return "encode";

@@ -10,12 +10,12 @@
 /// \file trace.h
 /// \brief Per-request stage tracing: where a request's wall time goes.
 ///
-/// A request crosses six local stages end to end:
+/// A request crosses five local stages end to end:
 ///
-///   decode -> route -> cache -> queue -> predict -> encode
-///   (wire     (registry (per-     (scheduler (batch     (response
-///    parse)    resolve)  threshold wait /     compute /   serialize,
-///                        lookups)  pool wait) sweep eval) frontend only)
+///   decode -> route -> queue -> predict -> encode
+///   (wire     (registry (scheduler (batch     (response
+///    parse)    resolve)  wait /     compute /   serialize,
+///                        pool wait) sweep eval) frontend only)
 ///
 /// Three REMOTE stages attribute the hop when a replica in another process
 /// served the request (fleet mode): the remote `shard_node` reports its own
@@ -47,7 +47,6 @@ namespace selnet::serve {
 enum class Stage : size_t {
   kDecode = 0,  ///< Wire line -> EstimateRequest (frontend only).
   kRoute,       ///< Registry/shard resolve + snapshot pin.
-  kCache,       ///< Per-threshold cache pre-pass.
   kQueue,          ///< Scheduler queue / pool wait before compute started.
   kPredict,        ///< Batched Predict / sweep evaluation.
   kEncode,         ///< Response serialization (frontend only).
@@ -55,11 +54,11 @@ enum class Stage : size_t {
   kRemotePredict,  ///< Predict stage reported by the remote replica.
   kRemoteWire,     ///< Whole remote round trip as the caller observed it.
 };
-constexpr size_t kNumStages = 9;
+constexpr size_t kNumStages = 8;
 /// Stages a single process observes about itself (the remote stages exist
 /// only on the caller side of a cross-process hop). A shard_node's wire
 /// stage block carries this prefix of the span.
-constexpr size_t kNumLocalStages = 6;
+constexpr size_t kNumLocalStages = 5;
 
 /// \brief Stable lowercase stage name ("decode", "route", ...).
 const char* StageName(Stage s);
@@ -78,7 +77,7 @@ struct SpanRecord {
 /// \brief In-flight span accumulator for one sampled request.
 ///
 /// Carried by shared_ptr on EstimateRequest. Observe() keeps the MAX per
-/// stage: single-shot stages (decode, route, cache) observe once, while the
+/// stage: single-shot stages (decode, route) observe once, while the
 /// per-row stages (queue, predict) may observe once per scheduler row of a
 /// sweep — the max is the request's critical path through that stage.
 /// Mutex-guarded: only sampled requests pay it, and a request's rows rarely

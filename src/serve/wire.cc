@@ -535,8 +535,6 @@ std::string SerializeStatsWire(const StatsSnapshot& s, uint64_t tag) {
   double uptime = s.uptime_s > 0.0 ? s.uptime_s : s.elapsed_seconds;
   w.Field("uptime_s", uptime);
   w.Field("requests", s.requests);
-  w.Field("cache_hits", s.cache_hits);
-  w.Field("cache_misses", s.cache_misses);
   w.Field("batches", s.batches);
   w.Field("batched_requests", s.batched_requests);
   w.Field("sweeps", s.sweeps);
@@ -589,8 +587,6 @@ util::Result<StatsSnapshot> ParseStatsWireLine(const std::string& line) {
     if (key == "node") return p.String(&s.node_id);
     if (key == "uptime_s") return parse_float(&s.uptime_s);
     if (key == "requests") return p.Uint(&s.requests);
-    if (key == "cache_hits") return p.Uint(&s.cache_hits);
-    if (key == "cache_misses") return p.Uint(&s.cache_misses);
     if (key == "batches") return p.Uint(&s.batches);
     if (key == "batched_requests") return p.Uint(&s.batched_requests);
     if (key == "sweeps") return p.Uint(&s.sweeps);
@@ -636,8 +632,6 @@ util::Result<StatsSnapshot> ParseStatsWireLine(const std::string& line) {
     s.latency_p99_ms = s.latency_hist.ValueAtQuantile(0.99);
     s.latency_mean_ms = s.latency_hist.MeanMs();
   }
-  uint64_t lookups = s.cache_hits + s.cache_misses;
-  if (lookups > 0) s.cache_hit_rate = double(s.cache_hits) / double(lookups);
   if (s.batches > 0) {
     s.avg_batch_size = double(s.batched_requests) / double(s.batches);
   }

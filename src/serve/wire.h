@@ -45,8 +45,10 @@
 ///       that actually served the request.
 ///
 /// Response line (server -> client):
-///   {"estimates":[...],"model":"default","version":3,"cache_hits":1,
+///   {"estimates":[...],"model":"default","version":3,"cache_hits":0,
 ///    "fast_path":true,"tag":7}
+/// `cache_hits` stays in the layout for compatibility; the server no longer
+/// sets it (EstimateResponse::cache_hits).
 /// A wire-traced request's response additionally carries
 /// `"stage_ms":[...]` — one float per serve::Stage in enum order, the
 /// answering process's own span (its remote stages and encode are 0).

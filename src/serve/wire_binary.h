@@ -38,7 +38,8 @@
 ///     x (u32 count + raw f32 words), thresholds (u32 count + raw f32
 ///     words). The header tag is the request tag.
 ///   * kResponse (server -> client): flags u8 (bit0 = fast_path, bit1 =
-///     degraded), model (u8 length + bytes), version u64, cache_hits u32,
+///     degraded), model (u8 length + bytes), version u64, cache_hits u32
+///     (always 0; kept for layout compatibility),
 ///     estimates (u32 count + f32 words), stage_ms (u32 count + f32 words;
 ///     non-empty only for wire-traced requests).
 ///   * kError (server -> client): code (u8 length + bytes; a ShedReasonName

@@ -37,39 +37,24 @@ using tensor::Matrix;
 
 // ------------------------------------------------------------------ cache ---
 
-TEST(EstimateCacheTest, MissThenHit) {
-  EstimateCache cache;
-  float x[3] = {0.1f, 0.2f, 0.3f};
-  uint64_t key = cache.Key(1, cache.QueryDigest(x, 3), 0.5f);
-  float v = 0.0f;
-  EXPECT_FALSE(cache.Lookup(key, &v));
-  cache.Insert(key, 42.0f);
-  ASSERT_TRUE(cache.Lookup(key, &v));
-  EXPECT_FLOAT_EQ(v, 42.0f);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST(EstimateCacheTest, QuantizationCollapsesNearbyInputs) {
   CacheConfig cfg;
   cfg.query_quantum = 1e-3f;
-  cfg.threshold_quantum = 1e-3f;
   EstimateCache cache(cfg);
   float a[2] = {0.5f, 0.5f};
   float b[2] = {0.5f + 1e-5f, 0.5f};  // Within one quantum of a.
   float c[2] = {0.6f, 0.5f};          // Far from a.
-  EXPECT_EQ(cache.Key(1, cache.QueryDigest(a, 2), 0.3f),
-            cache.Key(1, cache.QueryDigest(b, 2), 0.3f));
-  EXPECT_NE(cache.Key(1, cache.QueryDigest(a, 2), 0.3f),
-            cache.Key(1, cache.QueryDigest(c, 2), 0.3f));
+  EXPECT_EQ(cache.CurveKey(1, cache.QueryDigest(a, 2)),
+            cache.CurveKey(1, cache.QueryDigest(b, 2)));
+  EXPECT_NE(cache.CurveKey(1, cache.QueryDigest(a, 2)),
+            cache.CurveKey(1, cache.QueryDigest(c, 2)));
 }
 
 TEST(EstimateCacheTest, ModelVersionChangesKey) {
   EstimateCache cache;
   float x[2] = {0.5f, 0.5f};
-  EXPECT_NE(cache.Key(1, cache.QueryDigest(x, 2), 0.3f),
-            cache.Key(2, cache.QueryDigest(x, 2), 0.3f));
+  EXPECT_NE(cache.CurveKey(1, cache.QueryDigest(x, 2)),
+            cache.CurveKey(2, cache.QueryDigest(x, 2)));
 }
 
 TEST(EstimateCacheTest, CurveEntriesRoundTrip) {
@@ -88,70 +73,38 @@ TEST(EstimateCacheTest, CurveEntriesRoundTrip) {
   EXPECT_EQ(cache.curve_size(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.curve_size(), 0u);
-}
-
-TEST(EstimateCacheTest, CurveTableEvictsIndependently) {
-  CacheConfig cfg;
-  cfg.curve_capacity = 2;
-  cfg.shards = 1;
-  EstimateCache cache(cfg);
-  float x[1];
-  for (int i = 0; i < 3; ++i) {
-    x[0] = float(i);
-    cache.InsertCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)),
-                      CurveEntry{{0.0f, 1.0f}, {0.0f, float(i)}});
-  }
-  EXPECT_EQ(cache.curve_size(), 2u);  // Oldest curve evicted.
-  CurveEntry entry;
-  x[0] = 0.0f;
-  EXPECT_FALSE(
-      cache.LookupCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)), &entry));
-  x[0] = 2.0f;
-  EXPECT_TRUE(
-      cache.LookupCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)), &entry));
-  // The scalar table is untouched by curve inserts.
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.LookupCurve(key, &entry));
 }
 
 TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
   CacheConfig cfg;
-  cfg.capacity = 4;
+  cfg.curve_capacity = 4;
   cfg.shards = 1;  // One shard so global LRU order is deterministic.
   EstimateCache cache(cfg);
   float x[1];
   std::vector<uint64_t> keys;
   for (int i = 0; i < 4; ++i) {
     x[0] = float(i);
-    keys.push_back(cache.Key(1, cache.QueryDigest(x, 1), 0.0f));
-    cache.Insert(keys.back(), float(i));
+    keys.push_back(cache.CurveKey(1, cache.QueryDigest(x, 1)));
+    cache.InsertCurve(keys.back(), CurveEntry{{0.0f, 1.0f}, {0.0f, float(i)}});
   }
   // Touch key 0 so key 1 is now the LRU entry.
-  float v = 0.0f;
-  ASSERT_TRUE(cache.Lookup(keys[0], &v));
+  CurveEntry entry;
+  ASSERT_TRUE(cache.LookupCurve(keys[0], &entry));
   x[0] = 99.0f;
-  cache.Insert(cache.Key(1, cache.QueryDigest(x, 1), 0.0f), 99.0f);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_TRUE(cache.Lookup(keys[0], &v));
-  EXPECT_FALSE(cache.Lookup(keys[1], &v));  // Evicted.
-  EXPECT_TRUE(cache.Lookup(keys[2], &v));
-  EXPECT_TRUE(cache.Lookup(keys[3], &v));
-}
-
-TEST(EstimateCacheTest, ClearDropsEntries) {
-  EstimateCache cache;
-  float x[1] = {1.0f};
-  uint64_t key = cache.Key(1, cache.QueryDigest(x, 1), 0.0f);
-  cache.Insert(key, 5.0f);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  float v = 0.0f;
-  EXPECT_FALSE(cache.Lookup(key, &v));
+  cache.InsertCurve(cache.CurveKey(1, cache.QueryDigest(x, 1)),
+                    CurveEntry{{0.0f, 1.0f}, {0.0f, 99.0f}});
+  EXPECT_EQ(cache.curve_size(), 4u);
+  EXPECT_TRUE(cache.LookupCurve(keys[0], &entry));
+  EXPECT_FALSE(cache.LookupCurve(keys[1], &entry));  // Evicted.
+  EXPECT_TRUE(cache.LookupCurve(keys[2], &entry));
+  EXPECT_TRUE(cache.LookupCurve(keys[3], &entry));
+  EXPECT_EQ(entry.p, (std::vector<float>{0.0f, 3.0f}));
 }
 
 TEST(EstimateCacheTest, ConcurrentInsertLookupIsSafe) {
   CacheConfig cfg;
-  cfg.capacity = 256;
+  cfg.curve_capacity = 256;
   EstimateCache cache(cfg);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -159,15 +112,17 @@ TEST(EstimateCacheTest, ConcurrentInsertLookupIsSafe) {
       float x[1];
       for (int i = 0; i < 2000; ++i) {
         x[0] = float((t * 131 + i) % 512);
-        uint64_t key = cache.Key(1, cache.QueryDigest(x, 1), 0.0f);
-        float v = 0.0f;
-        if (!cache.Lookup(key, &v)) cache.Insert(key, x[0]);
+        uint64_t key = cache.CurveKey(1, cache.QueryDigest(x, 1));
+        CurveEntry entry;
+        if (!cache.LookupCurve(key, &entry)) {
+          cache.InsertCurve(key, CurveEntry{{0.0f, 1.0f}, {0.0f, x[0]}});
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_LE(cache.size(), 256u);
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
+  EXPECT_LE(cache.curve_size(), 256u);
+  EXPECT_GT(cache.curve_hits() + cache.curve_misses(), 0u);
 }
 
 TEST(EstimateCacheTest, NonFiniteAndOutOfRangeValuesGetDistinctKeys) {
@@ -177,12 +132,9 @@ TEST(EstimateCacheTest, NonFiniteAndOutOfRangeValuesGetDistinctKeys) {
   const float xs[] = {std::nanf(""), inf, -inf, 1e15f, -3e17f};
   std::set<uint64_t> x_keys;
   for (float v : xs) {
-    x_keys.insert(cache.Key(1, cache.QueryDigest(&v, 1), 0.5f));
+    x_keys.insert(cache.CurveKey(1, cache.QueryDigest(&v, 1)));
   }
   EXPECT_EQ(x_keys.size(), 5u);
-  float x = 0.5f;
-  uint64_t digest = cache.QueryDigest(&x, 1);
-  EXPECT_NE(cache.Key(1, digest, 1e15f), cache.Key(1, digest, inf));
   // NaN is canonicalized: every payload is the same query.
   uint32_t other_nan_bits = 0x7fa00001u;
   float other_nan;
@@ -191,22 +143,19 @@ TEST(EstimateCacheTest, NonFiniteAndOutOfRangeValuesGetDistinctKeys) {
 }
 
 TEST(EstimateCacheTest, KeysSpreadEvenlyOverShards) {
-  // ShardedLru picks a shard from key % shards; consecutive grid points must
-  // still land evenly, for scalar and curve keys alike.
+  // The cache picks a shard from key % shards; consecutive grid points must
+  // still land evenly.
   EstimateCache cache;
   const size_t shards = CacheConfig().shards;
   const size_t n = 4096;
-  std::vector<size_t> scalar(shards, 0), curve(shards, 0);
+  std::vector<size_t> curve(shards, 0);
   float x[4] = {0.0f, 0.25f, 0.5f, 0.75f};
   for (size_t i = 0; i < n; ++i) {
     x[0] = float(i) * 1e-5f;
-    uint64_t digest = cache.QueryDigest(x, 4);
-    ++scalar[cache.Key(1, digest, 0.5f) % shards];
-    ++curve[cache.CurveKey(1, digest) % shards];
+    ++curve[cache.CurveKey(1, cache.QueryDigest(x, 4)) % shards];
   }
   const size_t limit = 2 * n / shards;
   for (size_t s = 0; s < shards; ++s) {
-    EXPECT_LE(scalar[s], limit) << "scalar shard " << s;
     EXPECT_LE(curve[s], limit) << "curve shard " << s;
   }
 }
@@ -676,15 +625,17 @@ TEST(BatchSchedulerTest, RowCallbackReceivesSplitTiming) {
 TEST(ServeStatsTest, SnapshotAggregatesCounters) {
   ServeStats stats;
   for (int i = 0; i < 10; ++i) stats.RecordRequest();
-  stats.RecordCacheHit();
-  stats.RecordCacheMiss();
-  stats.RecordCacheMiss();
+  stats.RecordCurveLookup(true);
+  stats.RecordCurveLookup(false);
+  stats.RecordCurveLookup(false);
   stats.RecordBatch(8);
   stats.RecordBatch(4);
   for (int i = 1; i <= 100; ++i) stats.RecordLatencyMs(double(i % 64));
   StatsSnapshot s = stats.Snapshot();
   EXPECT_EQ(s.requests, 10u);
-  EXPECT_NEAR(s.cache_hit_rate, 1.0 / 3.0, 1e-9);
+  EXPECT_EQ(s.curve_hits, 1u);
+  EXPECT_EQ(s.curve_misses, 2u);
+  EXPECT_NEAR(CurveHitRate(s), 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(s.avg_batch_size, 6.0, 1e-9);
   EXPECT_GT(s.latency_p99_ms, s.latency_p50_ms);
   EXPECT_GT(s.qps, 0.0);
@@ -781,7 +732,7 @@ class ServeFixture : public ::testing::Test {
     ServerConfig scfg;
     scfg.dim = 6;
     scfg.enable_batching = batching;
-    scfg.enable_cache = cache;
+    scfg.enable_curve_cache = cache;
     scfg.scheduler.max_batch = 16;
     return scfg;
   }
@@ -817,13 +768,20 @@ TEST_F(ServeFixture, RepeatQueryHitsCache) {
   SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
   server.Publish(model_);
   const float* q = wl_.queries.row(0);
-  EstimateResponse first =
-      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax));
-  EstimateResponse second =
-      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax));
-  EXPECT_EQ(first.estimates[0], second.estimates[0]);
-  EXPECT_EQ(server.cache().hits(), 1u);
-  EXPECT_EQ(server.stats().Snapshot().cache_hits, 1u);
+  std::vector<float> ts = {0.25f * wl_.tmax, 0.5f * wl_.tmax};
+  EstimateResponse first = Await(server, EstimateRequest::Sweep(q, 6, ts));
+  EstimateResponse second = Await(server, EstimateRequest::Sweep(q, 6, ts));
+  ASSERT_EQ(first.estimates.size(), second.estimates.size());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(first.estimates[i], second.estimates[i]);
+  }
+  EXPECT_EQ(server.cache().curve_hits(), 1u);
+  EXPECT_EQ(server.stats().Snapshot().curve_hits, 1u);
+  EXPECT_EQ(server.stats().Snapshot().curve_misses, 1u);
+  // A curve answer is bit-identical to a fresh one: cache_hits stays 0, so
+  // response checkers keep verifying it.
+  EXPECT_EQ(second.cache_hits, 0u);
+  EXPECT_TRUE(second.fast_path);
 }
 
 TEST_F(ServeFixture, EstimateWithoutModelIsNotFound) {
@@ -951,27 +909,42 @@ TEST_F(ServeFixture, SweepFastPathBitIdenticalToRowExpansion) {
     }
   }
 
-  // Server level: the same request answered through the fast path and
-  // through row-expansion fallback must agree exactly too.
-  ServerConfig fast_cfg = MakeServerConfig(/*batching=*/true, /*cache=*/false);
-  ServerConfig slow_cfg = fast_cfg;
-  slow_cfg.enable_sweep_fastpath = false;
-  SelNetServer fast_server(fast_cfg);
-  SelNetServer slow_server(slow_cfg);
-  fast_server.Publish(model_);
-  slow_server.Publish(model_);
-  EstimateResponse a =
-      Await(fast_server, EstimateRequest::Sweep(q, 6, ts));
-  EstimateResponse b =
-      Await(slow_server, EstimateRequest::Sweep(q, 6, ts));
-  EXPECT_TRUE(a.fast_path);
-  EXPECT_FALSE(b.fast_path);
-  ASSERT_EQ(a.estimates.size(), b.estimates.size());
-  for (size_t r = 0; r < a.estimates.size(); ++r) {
-    EXPECT_EQ(a.estimates[r], b.estimates[r]) << "threshold " << ts[r];
+  // Server level: one K-threshold sweep (fast path) and K single-threshold
+  // requests (scheduler rows) on the same batching server agree exactly.
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
+  server.Publish(model_);
+  EstimateResponse sweep = Await(server, EstimateRequest::Sweep(q, 6, ts));
+  EXPECT_TRUE(sweep.fast_path);
+  ASSERT_EQ(sweep.estimates.size(), ts.size());
+  for (size_t r = 0; r < ts.size(); ++r) {
+    EstimateResponse point = Await(server, EstimateRequest::Point(q, 6, ts[r]));
+    EXPECT_FALSE(point.fast_path);
+    EXPECT_EQ(sweep.estimates[r], point.estimates[0]) << "threshold " << ts[r];
   }
-  EXPECT_EQ(fast_server.stats().Snapshot().sweep_fastpath, 1u);
-  EXPECT_EQ(slow_server.stats().Snapshot().sweep_fastpath, 0u);
+  EXPECT_EQ(server.stats().Snapshot().sweep_fastpath, 1u);
+}
+
+TEST_F(ServeFixture, EverySweepOfASweepCapableRouteTakesTheFastPath) {
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
+  server.Publish(model_);
+  const float* q = wl_.queries.row(6);
+  size_t sweeps = 0;
+  for (size_t k : {2u, 3u, 5u, 16u}) {
+    std::vector<float> ts;
+    for (size_t i = 0; i < k; ++i) {
+      ts.push_back(wl_.tmax * float(i + 1) / float(k));
+    }
+    EstimateResponse resp = Await(server, EstimateRequest::Sweep(q, 6, ts));
+    EXPECT_TRUE(resp.fast_path) << "K=" << k;
+    EXPECT_EQ(resp.estimates.size(), k);
+    ++sweeps;
+  }
+  // A single threshold row-expands and is not a sweep.
+  EXPECT_FALSE(
+      Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax)).fast_path);
+  StatsSnapshot s = server.stats().Snapshot();
+  EXPECT_EQ(s.sweeps, sweeps);
+  EXPECT_EQ(s.sweep_fastpath, sweeps);
 }
 
 TEST_F(ServeFixture, PartitionedSweepEstimateMatchesPredict) {
@@ -1106,61 +1079,6 @@ TEST_F(ServeFixture, SweepMonotoneUnderConcurrentHotSwap) {
   EXPECT_GT(sweeps_done.load(), 0u);
 }
 
-TEST_F(ServeFixture, FullyCachedSweepResolvesWithoutModelWork) {
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
-  server.Publish(model_);
-  std::vector<float> ts;
-  for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
-  const float* q = wl_.queries.row(5);
-  EstimateResponse first =
-      Await(server, EstimateRequest::Sweep(q, 6, ts));
-  EXPECT_EQ(first.cache_hits, 0u);
-  EstimateResponse second =
-      Await(server, EstimateRequest::Sweep(q, 6, ts));
-  EXPECT_EQ(second.cache_hits, ts.size());
-  EXPECT_FALSE(second.fast_path);  // Nothing was missing.
-  ASSERT_EQ(first.estimates.size(), second.estimates.size());
-  for (size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(first.estimates[i], second.estimates[i]);
-  }
-}
-
-uint32_t Bits(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-TEST_F(ServeFixture, FastPathSweepInsertsHitLaterPointRequest) {
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
-  server.Publish(model_);
-  std::vector<float> ts;
-  for (int i = 1; i <= 6; ++i) ts.push_back(wl_.tmax * float(i) / 6.0f);
-  const float* q = wl_.queries.row(7);
-  EstimateResponse sweep =
-      Await(server, EstimateRequest::Sweep(q, 6, ts));
-  ASSERT_TRUE(sweep.fast_path);
-  EstimateResponse point =
-      Await(server, EstimateRequest::Point(q, 6, ts[3]));
-  EXPECT_EQ(point.cache_hits, 1u);
-  EXPECT_EQ(Bits(point.estimates[0]), Bits(sweep.estimates[3]));
-}
-
-TEST_F(ServeFixture, ScheduledPointInsertIsHitByLaterSweep) {
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
-  server.Publish(model_);
-  const float* q = wl_.queries.row(8);
-  const float t = 0.5f * wl_.tmax;
-  EstimateResponse point = Await(server, EstimateRequest::Point(q, 6, t));
-  ASSERT_EQ(point.cache_hits, 0u);
-  ASSERT_GT(server.stats().Snapshot().batches, 0u);  // Via PredictOnHandle.
-  std::vector<float> ts = {0.25f * wl_.tmax, t, 0.75f * wl_.tmax};
-  EstimateResponse sweep =
-      Await(server, EstimateRequest::Sweep(q, 6, ts));
-  EXPECT_EQ(sweep.cache_hits, 1u);
-  EXPECT_EQ(Bits(sweep.estimates[1]), Bits(point.estimates[0]));
-}
-
 TEST_F(ServeFixture, MalformedRequestFailsFutureNotServer) {
   SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
   server.Publish(model_);
@@ -1196,7 +1114,6 @@ class BrokenSweepEstimator : public eval::Estimator,
 };
 
 TEST_F(ServeFixture, BrokenSweepCapableModelFailsRequestNotServer) {
-  // Cache on: the scalar cache fill is the first reader of Predict's result.
   SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
   server.Publish(model_);
   server.Publish("broken", std::make_shared<BrokenSweepEstimator>());
@@ -1210,6 +1127,49 @@ TEST_F(ServeFixture, BrokenSweepCapableModelFailsRequestNotServer) {
   // The healthy route keeps answering.
   EXPECT_NO_THROW(
       Await(server, EstimateRequest::Point(q, 6, 0.5f * wl_.tmax)));
+}
+
+// A curve-capable model whose SweepCurve hands out a single knot, which
+// core::PiecewiseLinear rejects with an abort.
+class OneKnotCurveEstimator : public eval::Estimator,
+                              public eval::SweepCapable {
+ public:
+  std::string Name() const override { return "OneKnot"; }
+  bool IsConsistent() const override { return true; }
+  void Fit(const eval::TrainContext&) override {}
+  Matrix Predict(const Matrix& x, const Matrix&) override {
+    return Matrix(x.rows(), 1);
+  }
+  std::vector<float> SweepEstimate(const float*, const float*,
+                                   size_t count) override {
+    return std::vector<float>(count, 0.0f);
+  }
+  bool SupportsSweepCurve() const override { return true; }
+  bool SweepCurve(const float*, std::vector<float>* tau,
+                  std::vector<float>* p) override {
+    *tau = {0.5f};
+    *p = {1.0f};
+    return true;
+  }
+};
+
+TEST_F(ServeFixture, MalformedCurveFailsRequestAndIsNeverCached) {
+  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
+  server.Publish(model_);
+  server.Publish("one_knot", std::make_shared<OneKnotCurveEstimator>());
+  std::vector<float> ts = {0.1f, 0.2f, 0.3f};
+  const float* q = wl_.queries.row(0);
+  EXPECT_THROW(Await(server, EstimateRequest::Sweep(q, 6, ts, "one_knot")),
+               std::runtime_error);
+  // Had the curve been cached, this sweep would hit it instead of failing.
+  EXPECT_THROW(Await(server, EstimateRequest::Sweep(q, 6, ts, "one_knot")),
+               std::runtime_error);
+  EXPECT_EQ(server.cache().curve_size(), 0u);
+  EXPECT_EQ(server.cache().curve_hits(), 0u);
+  // The healthy route keeps answering, through the curve cache too.
+  EstimateResponse ok = Await(server, EstimateRequest::Sweep(q, 6, ts));
+  EXPECT_TRUE(ok.fast_path);
+  EXPECT_EQ(server.cache().curve_size(), 1u);
 }
 
 TEST_F(ServeFixture, RepublishAfterWeightMutationServesNoStalePacks) {
@@ -1252,7 +1212,6 @@ TEST_F(ServeFixture, RepublishAfterWeightMutationServesNoStalePacks) {
 
 TEST_F(ServeFixture, CurveCacheAnswersNewThresholdsWithoutNetwork) {
   ServerConfig scfg = MakeServerConfig(/*batching=*/false, /*cache=*/true);
-  scfg.enable_curve_cache = true;
   SelNetServer server(scfg);
   server.Publish(model_);
   const float* q = wl_.queries.row(2);
@@ -1265,9 +1224,9 @@ TEST_F(ServeFixture, CurveCacheAnswersNewThresholdsWithoutNetwork) {
   Await(server, EstimateRequest::Sweep(q, 6, ts1));
   EXPECT_EQ(server.cache().curve_size(), 1u);  // Curve stored on the miss.
 
-  // New thresholds: every scalar-cache lookup misses, but the cached curve
-  // answers without touching the network — bit-identical to the model's own
-  // sweep path (same control points, same PWL arithmetic).
+  // New thresholds: the cached curve answers without touching the network,
+  // bit-identical to the model's own sweep path (same control points, same
+  // PWL arithmetic).
   const std::vector<float> second =
       Await(server, EstimateRequest::Sweep(q, 6, ts2)).estimates;
   EXPECT_GE(server.cache().curve_hits(), 1u);
@@ -1282,7 +1241,6 @@ TEST_F(ServeFixture, CurveCacheAnswersNewThresholdsWithoutNetwork) {
 
 TEST_F(ServeFixture, CurveCacheIsVersionKeyedAcrossHotSwap) {
   ServerConfig scfg = MakeServerConfig(/*batching=*/false, /*cache=*/true);
-  scfg.enable_curve_cache = true;
   SelNetServer server(scfg);
   server.Publish(model_);
   const float* q = wl_.queries.row(3);
@@ -1308,6 +1266,31 @@ TEST_F(ServeFixture, CurveCacheIsVersionKeyedAcrossHotSwap) {
   EXPECT_TRUE(any_diff) << "weight mutation should have changed the sweep";
 }
 
+TEST_F(ServeFixture, QueriesInOneQuantumShareACurve) {
+  ServerConfig scfg = MakeServerConfig(/*batching=*/true, /*cache=*/true);
+  scfg.cache.query_quantum = 1e-3f;
+  SelNetServer server(scfg);
+  server.Publish(model_);
+  // a sits on the quantum grid; b is a tenth of a quantum away from it in
+  // every coordinate, well inside a's cell.
+  std::vector<float> a(6), b(6);
+  for (size_t i = 0; i < 6; ++i) {
+    a[i] = std::round(wl_.queries(9, i) * 1e3f) * 1e-3f;
+    b[i] = a[i] + 1e-4f;
+  }
+  std::vector<float> ts = {0.3f * wl_.tmax, 0.6f * wl_.tmax};
+  EstimateResponse first =
+      Await(server, EstimateRequest::Sweep(a.data(), 6, ts));
+  EstimateResponse neighbour =
+      Await(server, EstimateRequest::Sweep(b.data(), 6, ts));
+  EXPECT_EQ(server.cache().curve_size(), 1u);
+  EXPECT_EQ(server.cache().curve_hits(), 1u);
+  // The neighbour is answered from a's curve, bit for bit.
+  for (size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(neighbour.estimates[i], first.estimates[i]) << "threshold " << i;
+  }
+}
+
 // ------------------------------------------------- live-update pipeline ---
 
 TEST_F(ServeFixture, PerRouteStatsSplitRequestsByModel) {
@@ -1323,8 +1306,9 @@ TEST_F(ServeFixture, PerRouteStatsSplitRequestsByModel) {
 
   const float* q = wl_.queries.row(0);
   float t = 0.5f * wl_.tmax;
-  Await(server, EstimateRequest::Point(q, 6, t));
-  Await(server, EstimateRequest::Point(q, 6, t));  // Default-route cache hit.
+  std::vector<float> pair = {0.5f * t, t};
+  Await(server, EstimateRequest::Sweep(q, 6, pair));
+  Await(server, EstimateRequest::Sweep(q, 6, pair));  // Curve-cache hit.
   std::vector<float> ts = {0.2f * wl_.tmax, 0.4f * wl_.tmax, 0.6f * wl_.tmax,
                            0.8f * wl_.tmax};
   Await(server, EstimateRequest::Sweep(q, 6, ts, "kde"));
@@ -1340,16 +1324,16 @@ TEST_F(ServeFixture, PerRouteStatsSplitRequestsByModel) {
   }
   ASSERT_NE(def, nullptr);
   ASSERT_NE(kde_route, nullptr);
-  EXPECT_EQ(def->requests, 2u);
-  EXPECT_EQ(def->cache_hits, 1u);
-  EXPECT_EQ(def->cache_misses, 1u);
-  EXPECT_NEAR(def->cache_hit_rate, 0.5, 1e-9);
+  EXPECT_EQ(def->requests, 4u);
+  EXPECT_EQ(def->curve_hits, 1u);
+  EXPECT_EQ(def->curve_misses, 1u);
+  EXPECT_NEAR(CurveHitRate(*def), 0.5, 1e-9);
   EXPECT_GT(def->latency_p99_ms, 0.0);
   EXPECT_EQ(kde_route->requests, 4u);
-  EXPECT_EQ(kde_route->cache_hits, 0u);
+  EXPECT_EQ(kde_route->curve_hits, 0u);
   EXPECT_GT(kde_route->latency_p99_ms, 0.0);
   // Global view still aggregates both routes.
-  EXPECT_EQ(s.requests, 6u);
+  EXPECT_EQ(s.requests, 8u);
   // The rendered report carries both route rows.
   std::string report = server.stats().Report();
   EXPECT_NE(report.find("default"), std::string::npos);
@@ -1601,7 +1585,6 @@ TEST(AdmissionServeTest, SaturationShedsTypedAndAccountsPerReason) {
   ServerConfig cfg;
   cfg.dim = 2;
   cfg.enable_batching = true;
-  cfg.enable_cache = false;
   cfg.scheduler.max_batch = 4;
   cfg.admission.enabled = true;
   cfg.admission.max_inflight = 4;
@@ -1650,7 +1633,6 @@ TEST(AdmissionServeTest, PriorityClassesShedLowBeforeHigh) {
   ServerConfig cfg;
   cfg.dim = 2;
   cfg.enable_batching = true;
-  cfg.enable_cache = false;
   cfg.scheduler.max_batch = 8;
   cfg.admission.enabled = true;
   cfg.admission.max_inflight = 4;
@@ -1700,7 +1682,6 @@ TEST(AdmissionServeTest, ExpiredRowsDropBeforePredictWithTypedError) {
   ServerConfig cfg;
   cfg.dim = 2;
   cfg.enable_batching = true;
-  cfg.enable_cache = false;
   cfg.scheduler.max_batch = 8;
   cfg.scheduler.pool = &pool;
   SelNetServer server(cfg);
@@ -1742,7 +1723,6 @@ TEST(AdmissionServeTest, AlreadyExpiredDeadlineShedsAtSubmit) {
   ServerConfig cfg;
   cfg.dim = 2;
   cfg.enable_batching = true;
-  cfg.enable_cache = false;
   SelNetServer server(cfg);
   server.Publish(std::make_shared<BrokenSweepEstimator>());  // Never reached.
 
@@ -1763,8 +1743,7 @@ TEST(AdmissionServeTest, AlreadyExpiredDeadlineShedsAtSubmit) {
 }
 
 TEST_F(ServeFixture, DegradedRouteServesCachedCurveBitIdentically) {
-  ServerConfig cfg = MakeServerConfig(/*batching=*/true, /*cache=*/false);
-  cfg.enable_curve_cache = true;
+  ServerConfig cfg = MakeServerConfig(/*batching=*/true, /*cache=*/true);
   cfg.admission.enabled = true;
   cfg.admission.max_inflight = 1;
   cfg.admission.default_policy.allow_degrade = true;

@@ -58,7 +58,6 @@ class AffineEstimator : public eval::Estimator {
 ShardedConfig MakeConfig(size_t shards, size_t dim = 4) {
   ShardedConfig cfg;
   cfg.server.dim = dim;
-  cfg.server.enable_cache = false;
   cfg.server.scheduler.max_batch = 16;
   cfg.num_shards = shards;
   cfg.threads_per_shard = 1;

@@ -180,7 +180,6 @@ TEST_F(UpdaterFixture, PipelineShadowRetrainMatchesDirectIncrementalFit) {
   serve::ServerConfig scfg;
   scfg.dim = 6;
   scfg.enable_batching = false;
-  scfg.enable_cache = false;
   serve::SelNetServer server(scfg);
   uint64_t v0 = server.Publish(std::shared_ptr<SelNetCt>(model_->Clone()));
   serve::UpdatePipelineConfig ucfg;

@@ -359,7 +359,6 @@ class AffineEstimator : public eval::Estimator {
 ServerConfig CheapServerConfig(size_t dim = 4) {
   ServerConfig cfg;
   cfg.dim = dim;
-  cfg.enable_cache = false;
   cfg.scheduler.max_batch = 16;
   return cfg;
 }
