@@ -2,7 +2,8 @@
 /// \brief google-benchmark microbenchmarks for the hot kernels: GEMM (per
 /// dispatched micro-kernel, with GFLOP/s), pack-cache hit/build cost,
 /// autograd round trips, PWL gather, cover-tree operations, single-query
-/// SelNet prediction latency and the serving cache's per-request key cost.
+/// SelNet prediction latency, the serving cache's per-request key cost, and
+/// the publish path's model load and CRC-32 pass.
 ///
 /// Doubles as the CI kernel-dispatch smoke: with SELNET_REQUIRE_SIMD=1 the
 /// process exits non-zero unless runtime dispatch resolved a non-scalar
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "autograd/ops.h"
+#include "core/model_io.h"
 #include "core/selnet_ct.h"
 #include "data/synthetic.h"
 #include "eval/suite.h"
@@ -23,6 +25,7 @@
 #include "tensor/blas.h"
 #include "tensor/kernel_dispatch.h"
 #include "tensor/pack_cache.h"
+#include "util/crc32.h"
 
 namespace {
 
@@ -210,6 +213,38 @@ void BM_CacheKeys(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheKeys);
+
+// The publish path's two per-replica costs on the servebench model shape
+// (dim 128, default config: a 600,322-byte SaveModel payload): building the
+// model straight from its bytes, and one CRC-32 pass over them.
+std::string ServebenchModelBytes() {
+  core::SelNetConfig cfg;
+  cfg.input_dim = 128;
+  cfg.tmax = 1.0f;
+  auto bytes = core::SaveModelBytes(core::SelNetCt(cfg));
+  if (!bytes.ok()) std::abort();
+  return bytes.MoveValueUnsafe();
+}
+
+void BM_LoadModelBytes(benchmark::State& state) {
+  const std::string bytes = ServebenchModelBytes();
+  for (auto _ : state) {
+    auto model = core::LoadModelBytes(bytes, "micro_ops");
+    if (!model.ok()) state.SkipWithError("LoadModelBytes failed");
+    benchmark::DoNotOptimize(model);
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(bytes.size()));
+}
+BENCHMARK(BM_LoadModelBytes)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  const std::string bytes = ServebenchModelBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

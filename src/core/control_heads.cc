@@ -16,7 +16,8 @@ ControlHeads::ControlHeads(const HeadsConfig& cfg, util::Rng* rng) : cfg_(cfg) {
   p_net_ = nn::Mlp({cfg.input_dim, cfg.p_hidden, cfg.p_hidden, cfg.p_hidden,
                     (l + 2) * cfg.embed_h},
                    rng);
-  pw_ = ag::Param(nn::XavierUniform(l + 2, cfg.embed_h, rng));
+  pw_ = ag::Param(rng == nullptr ? tensor::Matrix(l + 2, cfg.embed_h)
+                                 : nn::XavierUniform(l + 2, cfg.embed_h, rng));
   pb_ = ag::Param(tensor::Matrix(1, l + 2, 0.01f));
 }
 

@@ -43,6 +43,8 @@ struct HeadsConfig {
 class ControlHeads : public nn::Module {
  public:
   ControlHeads() = default;
+  /// A null `rng` leaves the weights zero instead of drawing them (the
+  /// model loader overwrites every parameter; see core/model_io).
   ControlHeads(const HeadsConfig& cfg, util::Rng* rng);
 
   // Movable (the fold cache is dropped, not moved — it is rebuilt lazily);

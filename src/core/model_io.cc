@@ -12,6 +12,14 @@ namespace selnet::core {
 using util::Result;
 using util::Status;
 
+/// The one holder of SelNetCt's no-init constructor (a friend of SelNetCt).
+class ModelLoader {
+ public:
+  static std::unique_ptr<SelNetCt> Blank(const SelNetConfig& cfg) {
+    return std::unique_ptr<SelNetCt>(new SelNetCt(cfg, /*random_init=*/false));
+  }
+};
+
 namespace {
 
 constexpr char kMagic[4] = {'S', 'E', 'L', 'M'};
@@ -124,7 +132,16 @@ Result<std::unique_ptr<SelNetCt>> LoadModelFromFile(std::FILE* f,
                            "': truncated config (failed reading field '" +
                            field + "')");
   }
-  auto model = std::make_unique<SelNetCt>(cfg);
+  // The config is not checksummed and may come off the wire: reject what
+  // the constructor would abort the process on.
+  if (cfg.input_dim == 0 || cfg.num_control == 0 || !(cfg.tmax > 0.0f)) {
+    return Status::Invalid("model file '" + path +
+                           "': invalid config (input_dim, num_control and "
+                           "tmax must be positive)");
+  }
+  // Zero-filled, no init draws: the payload overwrites every parameter (and
+  // checks the count and every shape), so random weights would be waste.
+  std::unique_ptr<SelNetCt> model = ModelLoader::Blank(cfg);
   SEL_RETURN_NOT_OK(nn::ReadParamsPayload(f, model->Params(), "model file",
                                           path,
                                           /*checksummed=*/version >= 2));

@@ -27,6 +27,9 @@ namespace selnet::core {
 util::Status SaveModel(const SelNetCt& model, const std::string& path);
 
 /// \brief Reconstruct a model from `path`; ready for Predict immediately.
+/// The model is built straight from the file: its parameters start zero and
+/// are overwritten, so no init draws are made and its rng starts at the
+/// constructor seed (that state only feeds further training of this model).
 util::Result<std::unique_ptr<SelNetCt>> LoadModel(const std::string& path);
 
 /// \brief SaveModel into a memory buffer (exact file-format bytes).

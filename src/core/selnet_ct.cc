@@ -41,9 +41,13 @@ SelNetConfig SelNetConfig::FromScale(const util::ScaleConfig& scale, size_t dim,
 }
 
 SelNetCt::SelNetCt(const SelNetConfig& cfg)
+    : SelNetCt(cfg, /*random_init=*/true) {}
+
+SelNetCt::SelNetCt(const SelNetConfig& cfg, bool random_init)
     : cfg_(cfg),
       rng_(0x5e17e7c0ull ^ (cfg.input_dim * 2654435761ull)),
-      ae_(cfg.input_dim, cfg.ae_hidden, cfg.latent_dim, &rng_) {
+      ae_(cfg.input_dim, cfg.ae_hidden, cfg.latent_dim,
+          random_init ? &rng_ : nullptr) {
   SEL_CHECK_GT(cfg.input_dim, 0u);
   SEL_CHECK_GT(cfg.tmax, 0.0f);
   HeadsConfig hc;
@@ -55,7 +59,7 @@ SelNetCt::SelNetCt(const SelNetConfig& cfg)
   hc.tmax = cfg.tmax;
   hc.query_dependent_tau = cfg.query_dependent_tau;
   hc.softmax_tau = cfg.softmax_tau;
-  heads_ = ControlHeads(hc, &rng_);
+  heads_ = ControlHeads(hc, random_init ? &rng_ : nullptr);
 }
 
 std::vector<ag::Var> SelNetCt::Params() const {
@@ -171,14 +175,14 @@ size_t SelNetCt::IncrementalFit(const eval::TrainContext& ctx, size_t patience,
 }
 
 std::unique_ptr<SelNetCt> SelNetCt::Clone() const {
-  auto clone = std::make_unique<SelNetCt>(cfg_);
+  std::unique_ptr<SelNetCt> clone(new SelNetCt(cfg_, /*random_init=*/false));
   std::vector<ag::Var> src = Params();
   std::vector<ag::Var> dst = clone->Params();
   SEL_CHECK_EQ(src.size(), dst.size());
   for (size_t i = 0; i < src.size(); ++i) dst[i]->value = src[i]->value;
-  // The construction above consumed rng draws for weight init; overwrite with
-  // the source's stream so the clone's continued training is bit-identical to
-  // what the source would have run (the shadow-retrain equivalence contract).
+  // Copy the source's rng stream so the clone's continued training is
+  // bit-identical to what the source would have run (the shadow-retrain
+  // equivalence contract).
   clone->rng_ = rng_;
   clone->ae_pretrained_ = ae_pretrained_;
   clone->InvalidateInferenceCache();

@@ -124,6 +124,13 @@ class SelNetCt : public eval::Estimator, public eval::SweepCapable,
   }
 
  private:
+  friend class ModelLoader;  // core/model_io: the no-init constructor below.
+
+  /// With `random_init` false every parameter starts zero and the rng makes
+  /// no draws: the loader overwrites all of them from the file, so the
+  /// ~150k init draws and their matrices would be thrown away.
+  SelNetCt(const SelNetConfig& cfg, bool random_init);
+
   /// One optimizer step on a batch; returns the loss value.
   double TrainBatch(const data::Batch& batch, nn::Optimizer* opt);
   /// Run one epoch over shuffled training samples.

@@ -21,6 +21,7 @@ class Autoencoder : public Module {
   /// \param input_dim data dimensionality d
   /// \param hidden width of the hidden layers
   /// \param latent_dim width of the bottleneck z_x
+  /// \param rng weight-init source; null leaves every weight zero (Linear)
   Autoencoder(size_t input_dim, size_t hidden, size_t latent_dim, util::Rng* rng);
 
   /// \brief Encode: (B x d) -> (B x latent).

@@ -3,7 +3,9 @@
 namespace selnet::nn {
 
 Linear::Linear(size_t in, size_t out, util::Rng* rng, bool he_init) {
-  tensor::Matrix w = he_init ? HeNormal(in, out, rng) : XavierUniform(in, out, rng);
+  tensor::Matrix w = rng == nullptr ? tensor::Matrix(in, out)
+                     : he_init      ? HeNormal(in, out, rng)
+                                    : XavierUniform(in, out, rng);
   w_ = ag::Param(std::move(w));
   b_ = ag::Param(tensor::Matrix(1, out));
 }

@@ -12,6 +12,8 @@ namespace selnet::nn {
 class Linear : public Module {
  public:
   Linear() = default;
+  /// A null `rng` skips the random draw and leaves the weight zero — for
+  /// model loaders that overwrite every parameter right after construction.
   Linear(size_t in, size_t out, util::Rng* rng, bool he_init = true);
 
   /// \brief Forward pass: (B x in) -> (B x out).

@@ -19,6 +19,7 @@ class Mlp : public Module {
   Mlp() = default;
 
   /// \param dims layer widths, e.g. {in, 512, 512, out}
+  /// \param rng weight-init source; null leaves every weight zero (Linear).
   Mlp(const std::vector<size_t>& dims, util::Rng* rng,
       Activation hidden = Activation::kRelu,
       Activation output_activation = Activation::kNone);

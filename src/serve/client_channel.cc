@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "serve/admission.h"
+#include "serve/frontend.h"
 
 namespace selnet::serve {
 
@@ -27,67 +28,22 @@ size_t ClientChannel::pending() const {
   return pending_.size();
 }
 
-Status ClientChannel::NegotiateBinary(int fd, WireProto* negotiated,
-                                      std::string* seed) {
-  *negotiated = WireProto::kJson;
-  const std::string hello = SerializeHello(WireProto::kBinary) + "\n";
-  SEL_RETURN_NOT_OK(util::WriteAll(fd, hello.data(), hello.size()));
-  // Read the one reply line, bounded: a peer that accepts but never answers
-  // must not hang Connect.
-  std::string buf;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(
-                         cfg_.hello_timeout_ms > 0 ? cfg_.hello_timeout_ms
-                                                   : 5000);
-  size_t nl;
-  while ((nl = buf.find('\n')) == std::string::npos) {
-    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         deadline - Clock::now())
-                         .count();
-    if (remaining <= 0) {
-      return Status::DeadlineExceeded(endpoint() +
-                                      ": no hello reply within bound");
-    }
-    std::vector<util::PollEntry> entries(1);
-    entries[0].fd = fd;
-    entries[0].want_read = true;
-    Result<int> ready = util::Poll(&entries, int(remaining));
-    if (!ready.ok()) return ready.status();
-    if (!entries[0].readable && !entries[0].error) continue;
-    char chunk[4096];
-    Result<int64_t> n = util::ReadSome(fd, chunk, sizeof(chunk));
-    if (!n.ok()) {
-      if (n.status().code() == StatusCode::kOutOfRange) continue;  // EAGAIN
-      return n.status();
-    }
-    if (n.ValueOrDie() == 0) {
-      return Status::IOError(endpoint() + ": closed during hello");
-    }
-    buf.append(chunk, size_t(n.ValueOrDie()));
-  }
-  const std::string line = buf.substr(0, nl);
-  *seed = buf.substr(nl + 1);
-  Result<HelloResult> hello_reply = ParseHelloReply(line);
-  if (!hello_reply.ok()) {
-    // An older server answers unknown-cmd and keeps the connection open:
-    // the designed JSON fallback, not a failure.
-    return Status::OK();
-  }
-  *negotiated = hello_reply.ValueOrDie().proto;
-  return Status::OK();
-}
-
 Status ClientChannel::Connect() {
   Close();
-  auto fd = util::TcpConnect(cfg_.address, cfg_.port);
-  if (!fd.ok()) return fd.status();
-  util::Fd sock = fd.MoveValueUnsafe();
-  util::SetNoDelay(sock.get());
-  WireProto negotiated = WireProto::kJson;
-  std::string seed;
+  // The hello exchange is one blocking round trip before the reader exists:
+  // NetClient's, then the socket and any bytes past the reply move here.
+  NetClient dial;
+  SEL_RETURN_NOT_OK(dial.Connect(cfg_.address, cfg_.port));
+  util::SetNoDelay(dial.fd());
   if (cfg_.preferred_proto == WireProto::kBinary) {
-    SEL_RETURN_NOT_OK(NegotiateBinary(sock.get(), &negotiated, &seed));
+    // Bounded: a peer that accepts but never answers must not hang Connect.
+    dial.set_recv_timeout_ms(cfg_.hello_timeout_ms > 0 ? cfg_.hello_timeout_ms
+                                                       : 5000);
+    SEL_RETURN_NOT_OK(dial.Hello(WireProto::kBinary));
   }
+  const WireProto negotiated = dial.proto();
+  std::string seed;
+  util::Fd sock = dial.Release(&seed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     fd_ = std::move(sock);
@@ -160,6 +116,7 @@ void ClientChannel::CallMany(std::vector<SelNetServer::Submission> batch) {
   // tags; serialization happens after, outside the lock the reader needs.
   std::vector<uint64_t> wire_tags(batch.size(), 0);
   bool registered = false;
+  bool nudge = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (up_.load(std::memory_order_relaxed) && fd_.valid()) {
@@ -177,6 +134,11 @@ void ClientChannel::CallMany(std::vector<SelNetServer::Submission> batch) {
                                    req.deadline < entry.expires)) {
           entry.expires = req.deadline;
           entry.expiry_is_request_deadline = true;
+        }
+        if (entry.expires != Clock::time_point{} &&
+            entry.expires < armed_expiry_) {
+          armed_expiry_ = entry.expires;
+          nudge = true;
         }
         entry.done = std::move(batch[i].done);
         wire_tags[i] = next_tag_++;
@@ -228,8 +190,9 @@ void ClientChannel::CallMany(std::vector<SelNetServer::Submission> batch) {
     FailAllPending(StatusCode::kIoError, endpoint() + ": send failed");
     return;
   }
-  // Nudge the reader so its poll deadline accounts for these expiries.
-  wake_.Notify();
+  // Only an expiry earlier than the reader's armed wake-up needs a nudge;
+  // every other one is found by the reader's next scan.
+  if (nudge) wake_.Notify();
 }
 
 bool ClientChannel::FlushQueued() {
@@ -289,11 +252,18 @@ void ClientChannel::ReaderLoop() {
           ++it;
         }
       }
+      armed_expiry_ = Clock::time_point::max();
       if (next != Clock::time_point{}) {
         auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       next - now)
                       .count();
         timeout_ms = int(std::clamp<long long>(ms + 1, 1, 60'000));
+        armed_expiry_ = next;
+      } else if (cfg_.recv_timeout_ms > 0) {
+        // Idle: sleep one recv timeout, so no recv-timeout expiry of a
+        // request sent from now on precedes this wake-up.
+        timeout_ms = cfg_.recv_timeout_ms;
+        armed_expiry_ = now + std::chrono::milliseconds(timeout_ms);
       }
     }
     for (auto& entry : expired) {

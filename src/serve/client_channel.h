@@ -144,11 +144,6 @@ class ClientChannel {
     Clock::time_point sent{};
   };
 
-  /// Blocking hello exchange on the fresh socket (before the reader
-  /// exists). OK with *negotiated = kJson on a clean fallback; non-OK only
-  /// on transport failure. Bytes past the reply line land in *seed.
-  util::Status NegotiateBinary(int fd, WireProto* negotiated,
-                               std::string* seed);
   void ReaderLoop();
   /// Match one JSON reply line to its pending entry and complete it.
   void HandleLine(const std::string& line);
@@ -184,7 +179,12 @@ class ClientChannel {
   WireProto proto_ = WireProto::kJson;
   /// Bytes read past the hello reply, handed to the reader's buffer.
   std::string seed_;
-  util::WakePipe wake_;  ///< Call -> reader: recompute the poll deadline.
+  /// When the reader's current (or next) poll wakes on its own: the
+  /// earliest pending expiry, or one recv timeout after it went idle (a new
+  /// recv-timeout expiry is never earlier, so only an earlier request
+  /// deadline needs a nudge). Guarded by mu_.
+  Clock::time_point armed_expiry_ = Clock::time_point::max();
+  util::WakePipe wake_;  ///< Call -> reader: an expiry precedes armed_expiry_.
   std::thread reader_;
 
   /// Flush-combined write queue: Call appends; the first appender of a

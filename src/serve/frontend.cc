@@ -8,7 +8,6 @@
 #include "serve/remote_shard.h"
 #include "serve/state_transfer.h"
 #include "serve/wire.h"
-#include "util/base64.h"
 #include "util/logging.h"
 
 namespace selnet::serve {
@@ -76,7 +75,7 @@ struct NetFrontend::Conn {
   /// In-progress state transfer on this connection (loop-thread only, like
   /// rbuf). Dies with the connection: a sender that vanishes mid-transfer
   /// leaks nothing and publishes nothing.
-  TransferAssembler xfer;
+  TransferAssembler transfer;
 };
 
 // The delegating constructors build the whole Backend BEFORE the real
@@ -199,10 +198,10 @@ FrontendStats NetFrontend::Stats() const {
   s.oversized = oversized_.load(std::memory_order_relaxed);
   s.backpressure_stalls = stalls_.load(std::memory_order_relaxed);
   s.admin_requests = admin_requests_.load(std::memory_order_relaxed);
-  s.transfer_frames = xfer_frames_.load(std::memory_order_relaxed);
-  s.transfer_bytes = xfer_bytes_.load(std::memory_order_relaxed);
-  s.transfer_crc_rejections = xfer_crc_rejects_.load(std::memory_order_relaxed);
-  s.transfer_installs = xfer_installs_.load(std::memory_order_relaxed);
+  s.transfer_frames = rx_frames_.load(std::memory_order_relaxed);
+  s.transfer_bytes = rx_bytes_.load(std::memory_order_relaxed);
+  s.transfer_crc_rejections = crc_rejects_.load(std::memory_order_relaxed);
+  s.transfer_installs = installs_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -431,76 +430,71 @@ std::string NetFrontend::DispatchAdmin(const std::shared_ptr<Conn>& conn,
       }
       return SerializeStatsWire(FleetSnapshot(), admin.tag);
     }
-    case Command::kXferBegin:
-    case Command::kXferFrame:
-    case Command::kXferCommit:
-      return HandleTransfer(conn, admin);
   }
   return SerializeError("wire: unknown admin cmd '" + admin.cmd + "'",
                         admin.tag);
 }
 
 std::string NetFrontend::HandleTransfer(const std::shared_ptr<Conn>& conn,
-                                        const AdminRequest& admin) {
-  if (!backend_.install) {
-    return SerializeError("wire: backend does not accept state transfers",
-                          admin.tag);
-  }
+                                        const FrameHeader& hdr,
+                                        const char* payload) {
+  TransferFields f;
   Status st;
   uint64_t version = 0;
-  bool committed = false;
-  if (admin.cmd == "xfer_begin") {
-    st = conn->xfer.Begin(admin.model, admin.size, admin.frames);
-  } else if (admin.cmd == "xfer_frame") {
-    Result<std::string> raw = util::Base64Decode(admin.data);
-    if (!raw.ok()) {
-      conn->xfer.Abort();
-      st = raw.status();
-    } else {
-      const size_t frame_bytes = raw.ValueOrDie().size();
-      st = conn->xfer.AddFrame(admin.seq, uint32_t(admin.crc),
-                               raw.ValueOrDie());
+  try {
+    st = DecodeTransferPayload(hdr.type, payload, hdr.payload_len, &f);
+    if (!st.ok()) {
+      conn->transfer.Abort();
+    } else if (!backend_.install) {
+      st = Status::NotImplemented(
+          "wire: backend does not accept state transfers");
+    } else if (hdr.type == FrameType::kTransferBegin) {
+      st = conn->transfer.Begin(f.model, f.size, f.frames);
+    } else if (hdr.type == FrameType::kTransferData) {
+      st = conn->transfer.AddFrame(f.seq, f.crc, f.data, f.data_len);
       if (st.ok()) {
-        xfer_frames_.fetch_add(1, std::memory_order_relaxed);
-        xfer_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
+        rx_frames_.fetch_add(1, std::memory_order_relaxed);
+        rx_bytes_.fetch_add(f.data_len, std::memory_order_relaxed);
       }
-    }
-  } else {  // xfer_commit
-    Result<std::string> bytes =
-        conn->xfer.Commit(admin.model, uint32_t(admin.crc));
-    if (!bytes.ok()) {
-      st = bytes.status();
-    } else {
+    } else {  // kTransferCommit.
+      Result<std::string> bytes = conn->transfer.Commit(f.model, f.crc);
       // Deserialize + publish on the loop thread: a model install is a
-      // publish-time event (milliseconds, not per-request), and running it
-      // here keeps the single-writer registry discipline trivially intact.
-      Result<uint64_t> v = backend_.install(admin.model, bytes.ValueOrDie());
+      // publish-time event (about a millisecond), and running it here keeps
+      // the single-writer registry discipline trivially intact.
+      Result<uint64_t> v = bytes.ok()
+                               ? backend_.install(f.model, bytes.ValueOrDie())
+                               : Result<uint64_t>(bytes.status());
       if (v.ok()) {
         version = v.ValueOrDie();
-        committed = true;
-        xfer_installs_.fetch_add(1, std::memory_order_relaxed);
+        installs_.fetch_add(1, std::memory_order_relaxed);
         util::LogDebug("frontend: state transfer installed route '%s' v%llu",
-                       admin.model.c_str(),
+                       f.model.c_str(),
                        static_cast<unsigned long long>(version));
       } else {
         st = v.status();
       }
     }
+  } catch (const std::exception& e) {
+    // Transfer frames are client bytes off an open port: an exception (an
+    // allocation failure on a hostile model config) fails THIS frame, never
+    // the loop thread.
+    conn->transfer.Abort();
+    st = Status::Internal(std::string("state transfer failed: ") + e.what());
   }
+  std::string out;
   if (!st.ok()) {
     // The assembler types both the per-frame and whole-payload checksum
-    // failures kIoError; everything else on this path (bad base64, ordering,
-    // size lies) is kInvalidArgument.
+    // failures kIoError; everything else on this path (ordering, size lies,
+    // undecodable frames) is kInvalidArgument.
     if (st.code() == util::StatusCode::kIoError) {
-      xfer_crc_rejects_.fetch_add(1, std::memory_order_relaxed);
+      crc_rejects_.fetch_add(1, std::memory_order_relaxed);
     }
-    return SerializeError(st.message(), admin.tag);
+    AppendErrorFrame(&out, st.message(), "", hdr.tag);
+    return out;
   }
-  JsonWriter w;
-  w.Field("ok", true);
-  if (committed) w.Field("version", version);
-  if (admin.tag != 0) w.Field("tag", admin.tag);
-  return w.Finish();
+  f.version = version;
+  AppendTransferFrame(&out, FrameType::kTransferAck, hdr.tag, f);
+  return out;
 }
 
 SelNetServer::ResponseFn NetFrontend::MakeCompletion(
@@ -848,9 +842,19 @@ bool NetFrontend::ProcessBinaryBuffer(LoopState* loop,
         }
         break;
       }
+      case FrameType::kTransferBegin:
+      case FrameType::kTransferData:
+      case FrameType::kTransferCommit: {
+        FlushBatch(&batch);
+        std::string reply = HandleTransfer(conn, hdr, payload);
+        std::lock_guard<std::mutex> lock(conn->mu);
+        if (!conn->closed) conn->wbuf += reply;
+        break;
+      }
       case FrameType::kResponse:
       case FrameType::kError:
-      case FrameType::kAdminReply: {
+      case FrameType::kAdminReply:
+      case FrameType::kTransferAck: {
         // Server-to-client types from a client: protocol violation, same
         // policy as a bad frame.
         parse_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -1055,85 +1059,58 @@ Status NetClient::SendRaw(const std::string& bytes) {
   return util::WriteAll(fd_.get(), bytes.data(), bytes.size());
 }
 
-Result<std::string> NetClient::ReadLine() {
+Status NetClient::ReadMore(std::chrono::steady_clock::time_point deadline) {
   if (!fd_.valid()) return Status::Internal("NetClient: not connected");
-  // The receive bound covers the WHOLE line, anchored here: a server that
-  // trickles one byte per poll interval cannot stretch it.
-  const bool bounded = recv_timeout_ms_ > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(recv_timeout_ms_);
-  for (;;) {
-    size_t nl = rbuf_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = rbuf_.substr(0, nl);
-      rbuf_.erase(0, nl + 1);
-      return line;
+  while (recv_timeout_ms_ > 0) {
+    auto remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+    if (remaining_ms <= 0) {
+      return Status::DeadlineExceeded("NetClient: no response within " +
+                                      std::to_string(recv_timeout_ms_) +
+                                      " ms");
     }
-    if (bounded) {
-      auto remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-      if (remaining_ms <= 0) {
-        return Status::DeadlineExceeded("NetClient: no response within " +
-                                        std::to_string(recv_timeout_ms_) +
-                                        " ms");
-      }
-      // The socket is blocking; poll first so a silent server costs the
-      // remaining budget, not forever. A hangup falls through to ReadSome,
-      // which reports the EOF / reset as usual.
-      std::vector<util::PollEntry> entries(1);
-      entries[0].fd = fd_.get();
-      entries[0].want_read = true;
-      Result<int> ready = util::Poll(&entries, int(remaining_ms));
-      if (!ready.ok()) return ready.status();
-      if (!entries[0].readable && !entries[0].error) continue;
-    }
-    char buf[4096];
-    Result<int64_t> n = util::ReadSome(fd_.get(), buf, sizeof(buf));
-    if (!n.ok()) return n.status();
-    if (n.ValueOrDie() == 0) {
-      return Status::IOError("NetClient: connection closed by server");
-    }
-    rbuf_.append(buf, size_t(n.ValueOrDie()));
+    // The socket is blocking; poll first so a silent server costs the
+    // remaining budget, not forever. A hangup falls through to ReadSome,
+    // which reports the EOF / reset as usual.
+    std::vector<util::PollEntry> entries(1);
+    entries[0].fd = fd_.get();
+    entries[0].want_read = true;
+    Result<int> ready = util::Poll(&entries, int(remaining_ms));
+    if (!ready.ok()) return ready.status();
+    if (entries[0].readable || entries[0].error) break;
   }
-}
-
-Status NetClient::FillBuffer(size_t need) {
-  // Same timeout contract as ReadLine, anchored per call.
-  const bool bounded = recv_timeout_ms_ > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(recv_timeout_ms_);
-  while (rbuf_.size() < need) {
-    if (bounded) {
-      auto remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-      if (remaining_ms <= 0) {
-        return Status::DeadlineExceeded("NetClient: no response within " +
-                                        std::to_string(recv_timeout_ms_) +
-                                        " ms");
-      }
-      std::vector<util::PollEntry> entries(1);
-      entries[0].fd = fd_.get();
-      entries[0].want_read = true;
-      Result<int> ready = util::Poll(&entries, int(remaining_ms));
-      if (!ready.ok()) return ready.status();
-      if (!entries[0].readable && !entries[0].error) continue;
-    }
-    char buf[4096];
-    Result<int64_t> n = util::ReadSome(fd_.get(), buf, sizeof(buf));
-    if (!n.ok()) return n.status();
-    if (n.ValueOrDie() == 0) {
-      return Status::IOError("NetClient: connection closed by server");
-    }
-    rbuf_.append(buf, size_t(n.ValueOrDie()));
+  char buf[16384];
+  Result<int64_t> n = util::ReadSome(fd_.get(), buf, sizeof(buf));
+  if (!n.ok()) return n.status();
+  if (n.ValueOrDie() == 0) {
+    return Status::IOError("NetClient: connection closed by server");
   }
+  rbuf_.append(buf, size_t(n.ValueOrDie()));
   return Status::OK();
 }
 
+Result<std::string> NetClient::ReadLine() {
+  // The receive bound covers the WHOLE line, anchored here: a server that
+  // trickles one byte per poll interval cannot stretch it.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(recv_timeout_ms_);
+  size_t nl;
+  while ((nl = rbuf_.find('\n')) == std::string::npos) {
+    SEL_RETURN_NOT_OK(ReadMore(deadline));
+  }
+  std::string line = rbuf_.substr(0, nl);
+  rbuf_.erase(0, nl + 1);
+  return line;
+}
+
 Result<std::string> NetClient::ReadFrame(FrameHeader* hdr) {
-  if (!fd_.valid()) return Status::Internal("NetClient: not connected");
-  SEL_RETURN_NOT_OK(FillBuffer(kFrameHeaderBytes));
+  // Same timeout contract as ReadLine, for the whole frame.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(recv_timeout_ms_);
+  while (rbuf_.size() < kFrameHeaderBytes) {
+    SEL_RETURN_NOT_OK(ReadMore(deadline));
+  }
   std::string err;
   // Replies can be big (a metrics exposition inside an admin frame); the
   // client-side sanity cap only guards against garbage lengths.
@@ -1143,9 +1120,24 @@ Result<std::string> NetClient::ReadFrame(FrameHeader* hdr) {
     return Status::IOError("NetClient: " +
                            (err.empty() ? std::string("short frame") : err));
   }
-  SEL_RETURN_NOT_OK(FillBuffer(kFrameHeaderBytes + hdr->payload_len));
+  const size_t total = kFrameHeaderBytes + hdr->payload_len;
+  while (rbuf_.size() < total) SEL_RETURN_NOT_OK(ReadMore(deadline));
   std::string payload = rbuf_.substr(kFrameHeaderBytes, hdr->payload_len);
-  rbuf_.erase(0, kFrameHeaderBytes + hdr->payload_len);
+  rbuf_.erase(0, total);
+  return payload;
+}
+
+Result<std::string> NetClient::ReadReply(FrameType want, FrameHeader* hdr) {
+  SEL_ASSIGN_OR_RETURN(std::string payload, ReadFrame(hdr));
+  if (hdr->type == FrameType::kError) {
+    std::string code, message;
+    SEL_RETURN_NOT_OK(
+        DecodeErrorPayload(payload.data(), payload.size(), &code, &message));
+    return StatusFromWireError(code, message);
+  }
+  if (hdr->type != want) {
+    return Status::IOError("NetClient: unexpected frame type in reply");
+  }
   return payload;
 }
 
@@ -1176,19 +1168,7 @@ Result<std::string> NetClient::AdminRoundtrip(const std::string& line,
     AppendAdminFrame(&out, FrameType::kAdmin, tag, line);
     SEL_RETURN_NOT_OK(SendRaw(out));
     FrameHeader hdr;
-    Result<std::string> payload = ReadFrame(&hdr);
-    if (!payload.ok()) return payload.status();
-    if (hdr.type == FrameType::kError) {
-      std::string code, message;
-      SEL_RETURN_NOT_OK(DecodeErrorPayload(payload.ValueOrDie().data(),
-                                           payload.ValueOrDie().size(), &code,
-                                           &message));
-      return StatusFromWireError(code, message);
-    }
-    if (hdr.type != FrameType::kAdminReply) {
-      return Status::IOError("NetClient: unexpected frame type in admin reply");
-    }
-    return payload;
+    return ReadReply(FrameType::kAdminReply, &hdr);
   }
   SEL_RETURN_NOT_OK(SendRaw(line + "\n"));
   return ReadLine();
@@ -1202,20 +1182,9 @@ Result<ClientReply> NetClient::Call(const ClientCall& call) {
       AppendRequestFrame(&out, call.estimate);
       SEL_RETURN_NOT_OK(SendRaw(out));
       FrameHeader hdr;
-      Result<std::string> payload = ReadFrame(&hdr);
-      if (!payload.ok()) return payload.status();
-      if (hdr.type == FrameType::kError) {
-        std::string code, message;
-        SEL_RETURN_NOT_OK(DecodeErrorPayload(payload.ValueOrDie().data(),
-                                             payload.ValueOrDie().size(),
-                                             &code, &message));
-        return StatusFromWireError(code, message);
-      }
-      if (hdr.type != FrameType::kResponse) {
-        return Status::IOError("NetClient: unexpected frame type in reply");
-      }
-      SEL_RETURN_NOT_OK(DecodeResponsePayload(payload.ValueOrDie().data(),
-                                              payload.ValueOrDie().size(),
+      SEL_ASSIGN_OR_RETURN(std::string payload,
+                           ReadReply(FrameType::kResponse, &hdr));
+      SEL_RETURN_NOT_OK(DecodeResponsePayload(payload.data(), payload.size(),
                                               &reply.estimate));
       reply.estimate.tag = hdr.tag;
       return reply;
@@ -1251,9 +1220,6 @@ Result<ClientReply> NetClient::Call(const ClientCall& call) {
       break;
     }
     case Command::kHealth:
-    case Command::kXferBegin:
-    case Command::kXferFrame:
-    case Command::kXferCommit:
       SEL_RETURN_NOT_OK(ParseAckLine(reply.body, &reply.version));
       break;
     default:

@@ -116,11 +116,11 @@ struct FrontendStats {
   uint64_t oversized = 0;            ///< Lines over max_line_bytes.
   uint64_t backpressure_stalls = 0;  ///< Times a conn hit the inflight cap.
   uint64_t admin_requests = 0;       ///< {"cmd":...} lines answered.
-  // Receiver-side state-transfer counters (the xfer_* admin family).
-  uint64_t transfer_frames = 0;    ///< Frames accepted (CRC verified).
-  uint64_t transfer_bytes = 0;     ///< Decoded payload bytes accepted.
+  // Receiver-side state-transfer counters (the binary transfer frames).
+  uint64_t transfer_frames = 0;    ///< Data frames accepted (CRC verified).
+  uint64_t transfer_bytes = 0;     ///< Payload bytes accepted.
   uint64_t transfer_crc_rejections = 0;  ///< Frame / whole-payload CRC fails.
-  uint64_t transfer_installs = 0;  ///< xfer_commit publishes that stuck.
+  uint64_t transfer_installs = 0;  ///< Commits whose publish stuck.
 };
 
 /// \brief Line-delimited JSON-over-TCP frontend for one serving backend.
@@ -178,7 +178,7 @@ class NetFrontend {
     std::function<void(std::vector<SelNetServer::Submission>)> submit;
     std::function<StatsSnapshot()> snapshot;
     std::function<std::vector<SpanRecord>()> slow;
-    /// Install a state-transferred model (the xfer_commit admin command):
+    /// Install a state-transferred model (the transfer commit frame):
     /// deserialize SaveModel-format bytes and publish under the route,
     /// returning the assigned version.
     std::function<util::Result<uint64_t>(const std::string& model,
@@ -297,10 +297,10 @@ class NetFrontend {
   /// Route one parsed admin command to its handler; returns the reply line.
   std::string DispatchAdmin(const std::shared_ptr<Conn>& conn,
                             const AdminRequest& admin);
-  /// One xfer_* state-transfer step against this connection's assembler;
-  /// returns the reply line (ack or error).
+  /// One state-transfer frame against this connection's assembler; returns
+  /// the reply frame (kTransferAck, or kError with the frame's tag).
   std::string HandleTransfer(const std::shared_ptr<Conn>& conn,
-                             const AdminRequest& admin);
+                             const FrameHeader& hdr, const char* payload);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   bool DrainComplete(LoopState* loop);
 
@@ -336,10 +336,10 @@ class NetFrontend {
   std::atomic<uint64_t> oversized_{0};
   std::atomic<uint64_t> stalls_{0};
   std::atomic<uint64_t> admin_requests_{0};
-  std::atomic<uint64_t> xfer_frames_{0};
-  std::atomic<uint64_t> xfer_bytes_{0};
-  std::atomic<uint64_t> xfer_crc_rejects_{0};
-  std::atomic<uint64_t> xfer_installs_{0};
+  std::atomic<uint64_t> rx_frames_{0};
+  std::atomic<uint64_t> rx_bytes_{0};
+  std::atomic<uint64_t> crc_rejects_{0};
+  std::atomic<uint64_t> installs_{0};
   /// Live connection count across all loops (max_connections is global).
   std::atomic<size_t> conn_count_{0};
   /// Sharded-acceptor round-robin cursor (loop 0 only, atomic for safety).
@@ -351,8 +351,9 @@ class NetFrontend {
 
 /// \brief One typed request for NetClient::Call — the versioned client
 /// surface. `cmd` selects the command (wire.h registry); kEstimate reads
-/// `estimate`, everything else reads the relevant `admin` fields (tag, the
-/// xfer_* transfer fields…). The negotiated framing is applied underneath.
+/// `estimate`, everything else reads the relevant `admin` fields (the tag).
+/// The negotiated framing is applied underneath. Model state does not go
+/// through Call: see SendModelState (state_transfer.h).
 struct ClientCall {
   Command cmd = Command::kEstimate;
   EstimateRequest estimate;
@@ -362,8 +363,8 @@ struct ClientCall {
 /// \brief The typed reply for NetClient::Call. Which fields are meaningful
 /// depends on the command: kEstimate fills `estimate`; admin commands fill
 /// `body` (the raw reply line) and, where the reply has structure, `text`
-/// (kMetrics exposition), `stats` (kStatsWire), or `version` (ack replies —
-/// health, xfer_commit). Server-side errors surface as the returned Status
+/// (kMetrics exposition), `stats` (kStatsWire), or `version` (ack replies,
+/// e.g. health). Server-side errors surface as the returned Status
 /// (StatusFromWireError taxonomy), never as a reply field.
 struct ClientReply {
   EstimateResponse estimate;
@@ -396,6 +397,15 @@ class NetClient {
   util::Status Reconnect();
 
   void Close() { fd_.Close(); }
+
+  /// \brief Hand the connection over (after Connect, and Hello if any): the
+  /// socket, plus the bytes read past the last reply into `*buffered`. The
+  /// client is left unconnected.
+  util::Fd Release(std::string* buffered) {
+    *buffered = std::move(rbuf_);
+    rbuf_.clear();
+    return std::move(fd_);
+  }
   bool connected() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
 
@@ -436,9 +446,15 @@ class NetClient {
   /// with the header in `*hdr`. Same timeout contract as ReadLine.
   util::Result<std::string> ReadFrame(FrameHeader* hdr);
 
+  /// \brief ReadFrame, expecting a reply of type `want`: a kError frame
+  /// comes back as its typed Status (StatusFromWireError), any other type as
+  /// kIoError. `*hdr` holds the header whenever one was read.
+  util::Result<std::string> ReadReply(FrameType want, FrameHeader* hdr);
+
  private:
-  /// Fill rbuf_ until `need` buffered bytes exist (frame reads).
-  util::Status FillBuffer(size_t need);
+  /// One receive into rbuf_, bounded by `deadline` when a recv timeout is
+  /// set.
+  util::Status ReadMore(std::chrono::steady_clock::time_point deadline);
   /// One admin round trip in the negotiated framing; returns the reply line.
   util::Result<std::string> AdminRoundtrip(const std::string& line,
                                            uint64_t tag);

@@ -25,12 +25,14 @@ RemoteShard::RemoteShard(const RemoteShardConfig& cfg)
 RemoteShard::~RemoteShard() { CloseData(); }
 
 Result<uint64_t> RemoteShard::PublishBytes(const std::string& name,
-                                           const std::string& bytes) {
+                                           const std::string& bytes,
+                                           uint64_t* frames_sent) {
   NetClient client;
   SEL_RETURN_NOT_OK(client.Connect(cfg_.address, cfg_.port));
   client.set_recv_timeout_ms(cfg_.admin_timeout_ms);
   uint64_t version = 0;
-  SEL_RETURN_NOT_OK(SendModelState(&client, name, bytes, &version));
+  SEL_RETURN_NOT_OK(
+      SendModelState(&client, name, bytes, &version, frames_sent));
   return version;
 }
 

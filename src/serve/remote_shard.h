@@ -28,7 +28,8 @@
 ///   * The CONTROL path (PublishBytes, HealthCheck, ScrapeStats) dials a
 ///     fresh blocking connection per call. Publishes are rare, and dialing
 ///     doubles as the reachability probe the health loop wants anyway.
-///     State transfer stays on JSON lines — it is publish-time traffic.
+///     State transfer negotiates the binary framing on its connection and
+///     ships the model in raw transfer frames (state_transfer.h).
 ///
 /// Failure taxonomy, delivered through the completion's exception_ptr so the
 /// replication layer can decide retry-vs-fail without string matching:
@@ -115,9 +116,11 @@ class RemoteShard {
 
   /// \brief Ship SaveModel-format bytes and publish them under `name` on the
   /// remote (state_transfer.h over a fresh control connection); returns the
-  /// version the remote registry assigned.
+  /// version the remote registry assigned, and the number of transfer frames
+  /// sent via `*frames_sent` when non-null.
   util::Result<uint64_t> PublishBytes(const std::string& name,
-                                      const std::string& bytes);
+                                      const std::string& bytes,
+                                      uint64_t* frames_sent = nullptr);
 
   /// \brief Dial + {"cmd":"health"} round trip, bounded by admin_timeout_ms.
   util::Status HealthCheck();

@@ -17,7 +17,8 @@
 /// SelNetServer (registry + scheduler + caches + admission), and a
 /// NetFrontend with the state-transfer install hook wired — behind one bound
 /// port. It starts EMPTY: models arrive over the wire via state transfer
-/// (xfer_begin / xfer_frame / xfer_commit), which is exactly how the
+/// (state_transfer.h: binary begin / data / commit frames, installed on the
+/// frontend's loop thread in about a millisecond), which is exactly how the
 /// replication layer re-syncs a crashed-and-restarted replica.
 ///
 /// Two ways to run one:

@@ -10,7 +10,6 @@
 #include "core/model_io.h"
 #include "core/selnet_ct.h"
 #include "serve/admission.h"
-#include "serve/state_transfer.h"
 #include "serve/update_pipeline.h"
 #include "serve/wire.h"
 #include "util/check.h"
@@ -226,7 +225,8 @@ void ShardedRegistry::RecordTransition(size_t i, ShardHealth from,
 }
 
 void ShardedRegistry::RecordPublishResult(size_t slot, bool accepted,
-                                          size_t bytes_sent) {
+                                          size_t bytes_sent,
+                                          uint64_t frames_sent) {
   const std::string replica =
       IsLocalSlot(slot) ? "shard-" + std::to_string(slot)
                         : remotes_[slot - shards_.size()]->shard->endpoint();
@@ -241,13 +241,13 @@ void ShardedRegistry::RecordPublishResult(size_t slot, bool accepted,
   }
   if (bytes_sent > 0) {
     // A remote accept rode the state-transfer protocol: count the shipped
-    // volume (frames = how SendModelState chunks the payload).
+    // volume, frames as SendModelState reported writing them.
     metrics_
         .GetCounter("selnet_transfer_tx_bytes_total", {{"replica", replica}})
         ->Increment(bytes_sent);
     metrics_
         .GetCounter("selnet_transfer_tx_frames_total", {{"replica", replica}})
-        ->Increment((bytes_sent + kDefaultFrameBytes - 1) / kDefaultFrameBytes);
+        ->Increment(frames_sent);
     events_.Push("transfer", replica, "",
                  std::to_string(bytes_sent) + " bytes");
   }
@@ -301,19 +301,20 @@ uint64_t ShardedRegistry::Publish(const std::string& name,
   for (size_t slot : replicas) {
     if (IsLocalSlot(slot)) {
       uint64_t v = shards_[slot]->server->Publish(name, model);
-      RecordPublishResult(slot, /*accepted=*/true, /*bytes_sent=*/0);
+      RecordPublishResult(slot, /*accepted=*/true, 0, 0);
       if (!have_version) {
         version = v;
         have_version = true;
       }
     } else if (have_bytes) {
-      auto v = remote_shard(slot).PublishBytes(name, bytes);
+      uint64_t frames = 0;
+      auto v = remote_shard(slot).PublishBytes(name, bytes, &frames);
       if (!v.ok()) {
-        RecordPublishResult(slot, /*accepted=*/false, /*bytes_sent=*/0);
+        RecordPublishResult(slot, /*accepted=*/false, 0, 0);
         MarkSuspect(slot);  // The health loop re-syncs it from the bytes.
         continue;
       }
-      RecordPublishResult(slot, /*accepted=*/true, bytes.size());
+      RecordPublishResult(slot, /*accepted=*/true, bytes.size(), frames);
       if (!have_version) {
         version = v.ValueOrDie();
         have_version = true;
@@ -361,12 +362,14 @@ Result<uint64_t> ShardedRegistry::PublishFromBytes(const std::string& name,
   uint64_t version = 0;
   Status last_error = Status::Internal("no replicas");
   for (size_t slot : replicas) {
+    uint64_t frames = 0;
     Result<uint64_t> v =
         IsLocalSlot(slot)
             ? shards_[slot]->server->PublishFromBytes(name, bytes, origin)
-            : remote_shard(slot).PublishBytes(name, bytes);
+            : remote_shard(slot).PublishBytes(name, bytes, &frames);
     RecordPublishResult(slot, v.ok(),
-                        v.ok() && !IsLocalSlot(slot) ? bytes.size() : 0);
+                        v.ok() && !IsLocalSlot(slot) ? bytes.size() : 0,
+                        frames);
     if (!v.ok()) {
       last_error = v.status();
       MarkSuspect(slot);  // No-op for local slots.
@@ -654,8 +657,9 @@ Status ShardedRegistry::AdmitRemote(size_t i) {
     }
   }
   for (const auto& [route, bytes] : owned) {
-    auto v = shard.PublishBytes(route, bytes);
-    RecordPublishResult(slot, v.ok(), v.ok() ? bytes.size() : 0);
+    uint64_t frames = 0;
+    auto v = shard.PublishBytes(route, bytes, &frames);
+    RecordPublishResult(slot, v.ok(), v.ok() ? bytes.size() : 0, frames);
     if (!v.ok()) return v.status();
   }
   return shard.Connect();

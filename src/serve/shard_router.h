@@ -335,7 +335,8 @@ class ShardedRegistry {
   void RecordTransition(size_t i, ShardHealth from, ShardHealth to);
   /// Count one publish-fan-out verdict for `slot`; a remote accept also adds
   /// the shipped bytes/frames to the transfer_tx counters.
-  void RecordPublishResult(size_t slot, bool accepted, size_t bytes_sent);
+  void RecordPublishResult(size_t slot, bool accepted, size_t bytes_sent,
+                           uint64_t frames_sent);
   /// Fetch + cache one remote's stats_wire snapshot (best-effort).
   void ScrapeRemote(size_t i);
 

@@ -4,7 +4,7 @@
 
 #include "serve/frontend.h"
 #include "serve/wire.h"
-#include "util/base64.h"
+#include "serve/wire_binary.h"
 #include "util/crc32.h"
 
 namespace selnet::serve {
@@ -12,66 +12,16 @@ namespace selnet::serve {
 using util::Result;
 using util::Status;
 
-std::vector<TransferFrame> BuildFrames(const std::string& bytes,
-                                       size_t frame_bytes) {
-  std::vector<TransferFrame> frames;
-  size_t chunk = std::max<size_t>(1, frame_bytes);
-  frames.reserve(bytes.size() / chunk + 1);
-  // An empty payload still ships one (empty) frame so begin/commit always
-  // bracket at least one data line — simpler invariants on both ends.
-  size_t off = 0;
-  do {
-    TransferFrame f;
-    f.seq = frames.size();
-    f.data = bytes.substr(off, chunk);
-    f.crc = util::Crc32(f.data.data(), f.data.size());
-    off += f.data.size();
-    frames.push_back(std::move(f));
-  } while (off < bytes.size());
-  return frames;
-}
-
-std::string SerializeXferBegin(const std::string& model, uint64_t size,
-                               uint64_t frames, uint64_t tag) {
-  JsonWriter w;
-  w.Field("cmd", "xfer_begin");  // "cmd" first: LineLooksAdmin keys on it.
-  w.Field("model", model);
-  w.Field("size", size);
-  w.Field("frames", frames);
-  if (tag != 0) w.Field("tag", tag);
-  return w.Finish();
-}
-
-std::string SerializeXferFrame(const TransferFrame& frame, uint64_t tag) {
-  JsonWriter w;
-  w.Field("cmd", "xfer_frame");
-  w.Field("seq", frame.seq);
-  w.Field("crc", uint64_t(frame.crc));
-  w.Field("data", util::Base64Encode(frame.data));
-  if (tag != 0) w.Field("tag", tag);
-  return w.Finish();
-}
-
-std::string SerializeXferCommit(const std::string& model, uint32_t whole_crc,
-                                uint64_t tag) {
-  JsonWriter w;
-  w.Field("cmd", "xfer_commit");
-  w.Field("model", model);
-  w.Field("crc", uint64_t(whole_crc));
-  if (tag != 0) w.Field("tag", tag);
-  return w.Finish();
-}
-
 // ------------------------------------------------------- TransferAssembler ---
 
 Status TransferAssembler::Begin(const std::string& model, uint64_t size,
                                 uint64_t frames) {
   Abort();
   if (model.empty()) {
-    return Status::Invalid("state transfer: xfer_begin needs a model route");
+    return Status::Invalid("state transfer: begin needs a model route");
   }
   if (frames == 0) {
-    return Status::Invalid("state transfer: xfer_begin needs >= 1 frame");
+    return Status::Invalid("state transfer: begin needs >= 1 frame");
   }
   // `size` and `frames` are sender-supplied bytes off an open port: bound
   // them BEFORE any allocation sized by them, and reply with a typed error
@@ -94,17 +44,17 @@ Status TransferAssembler::Begin(const std::string& model, uint64_t size,
   expect_frames_ = frames;
   next_seq_ = 0;
   buf_.clear();
-  // Capacity hint only — memory materializes as verified frames arrive (and
-  // AddFrame caps growth at expect_size_), so a sender claiming a large size
-  // commits us to nothing up front.
-  buf_.reserve(size_t(std::min<uint64_t>(size, uint64_t(kDefaultFrameBytes) * 16)));
+  // Capacity hint only, capped at 1 MiB — memory materializes as verified
+  // frames arrive (and AddFrame caps growth at expect_size_), so a sender
+  // claiming a large size commits us to little up front.
+  buf_.reserve(size_t(std::min<uint64_t>(size, 1u << 20)));
   return Status::OK();
 }
 
 Status TransferAssembler::AddFrame(uint64_t seq, uint32_t crc,
-                                   const std::string& data) {
+                                   const char* data, size_t len) {
   if (!active_) {
-    return Status::Invalid("state transfer: xfer_frame without xfer_begin");
+    return Status::Invalid("state transfer: data frame without begin");
   }
   if (seq != next_seq_) {
     Status st = Status::Invalid(
@@ -113,7 +63,7 @@ Status TransferAssembler::AddFrame(uint64_t seq, uint32_t crc,
     Abort();
     return st;
   }
-  uint32_t computed = util::Crc32(data.data(), data.size());
+  uint32_t computed = util::Crc32(data, len);
   if (computed != crc) {
     Status st = Status::IOError(
         "state transfer for '" + model_ + "': frame " + std::to_string(seq) +
@@ -122,22 +72,22 @@ Status TransferAssembler::AddFrame(uint64_t seq, uint32_t crc,
     Abort();
     return st;
   }
-  buf_ += data;
-  ++next_seq_;
-  if (buf_.size() > expect_size_) {
+  if (len > expect_size_ - buf_.size()) {
     Status st = Status::Invalid("state transfer for '" + model_ +
                                 "': payload exceeds announced size " +
                                 std::to_string(expect_size_));
     Abort();
     return st;
   }
+  buf_.append(data, len);
+  ++next_seq_;
   return Status::OK();
 }
 
 Result<std::string> TransferAssembler::Commit(const std::string& model,
                                               uint32_t whole_crc) {
   if (!active_) {
-    return Status::Invalid("state transfer: xfer_commit without xfer_begin");
+    return Status::Invalid("state transfer: commit without begin");
   }
   // The transfer is over after this call, success or not.
   std::string bytes = std::move(buf_);
@@ -147,9 +97,8 @@ Result<std::string> TransferAssembler::Commit(const std::string& model,
   uint64_t want_size = expect_size_;
   Abort();
   if (model != route) {
-    return Status::Invalid("state transfer: xfer_commit route '" + model +
-                           "' does not match xfer_begin route '" + route +
-                           "'");
+    return Status::Invalid("state transfer: commit route '" + model +
+                           "' does not match begin route '" + route + "'");
   }
   if (got_frames != want_frames || bytes.size() != want_size) {
     return Status::Invalid(
@@ -178,29 +127,58 @@ void TransferAssembler::Abort() {
 
 // --------------------------------------------------------- SendModelState ---
 
-namespace {
-
-Status SendAwaitAck(NetClient* client, const std::string& line,
-                 uint64_t* version = nullptr) {
-  SEL_RETURN_NOT_OK(client->SendRaw(line + "\n"));
-  Result<std::string> reply = client->ReadLine();
-  if (!reply.ok()) return reply.status();
-  return ParseAckLine(reply.ValueOrDie(), version);
-}
-
-}  // namespace
-
 Status SendModelState(NetClient* client, const std::string& model,
                       const std::string& bytes, uint64_t* version,
-                      size_t frame_bytes) {
-  std::vector<TransferFrame> frames = BuildFrames(bytes, frame_bytes);
-  SEL_RETURN_NOT_OK(SendAwaitAck(
-      client, SerializeXferBegin(model, bytes.size(), frames.size())));
-  for (const TransferFrame& f : frames) {
-    SEL_RETURN_NOT_OK(SendAwaitAck(client, SerializeXferFrame(f)));
+                      uint64_t* frames_sent, size_t frame_bytes) {
+  if (client->proto() != WireProto::kBinary) {
+    SEL_RETURN_NOT_OK(client->Hello(WireProto::kBinary));
   }
-  uint32_t whole = util::Crc32(bytes.data(), bytes.size());
-  return SendAwaitAck(client, SerializeXferCommit(model, whole), version);
+  if (client->proto() != WireProto::kBinary) {
+    return Status::NotImplemented(
+        "state transfer: the peer does not speak the binary framing");
+  }
+  const size_t chunk = std::max<size_t>(1, frame_bytes);
+  // An empty payload still ships one (empty) data frame, so begin and commit
+  // always bracket at least one — simpler invariants on both ends.
+  const uint64_t frames =
+      std::max<uint64_t>(1, (bytes.size() + chunk - 1) / chunk);
+  std::string out;
+  out.reserve(bytes.size() + (frames + 2) * 32 + 2 * model.size());
+  TransferFields f{model, bytes.size(), frames};
+  uint64_t tag = 1;
+  AppendTransferFrame(&out, FrameType::kTransferBegin, tag++, f);
+  for (uint64_t seq = 0; seq < frames; ++seq) {
+    const size_t off = size_t(seq) * chunk;
+    f.seq = seq;
+    f.data = bytes.data() + off;
+    f.data_len = std::min(chunk, bytes.size() - off);
+    f.crc = util::Crc32(f.data, f.data_len);
+    AppendTransferFrame(&out, FrameType::kTransferData, tag++, f);
+  }
+  f.crc = util::Crc32(bytes.data(), bytes.size());
+  AppendTransferFrame(&out, FrameType::kTransferCommit, tag, f);
+  SEL_RETURN_NOT_OK(client->SendRaw(out));
+
+  // One reply per frame, in order. The first rejection is the verdict (the
+  // receiver aborted there, so later frames are refused as well); the
+  // commit's ack carries the published version.
+  Status verdict;
+  for (uint64_t i = 0; i < frames + 2; ++i) {
+    FrameHeader hdr;
+    Result<std::string> payload =
+        client->ReadReply(FrameType::kTransferAck, &hdr);
+    // Anything but an ack or a typed rejection means the stream is lost.
+    if (!payload.ok() && hdr.type != FrameType::kError) return payload.status();
+    TransferFields ack;
+    Status st = payload.ok() ? DecodeTransferPayload(
+                                   hdr.type, payload.ValueOrDie().data(),
+                                   payload.ValueOrDie().size(), &ack)
+                             : payload.status();
+    if (verdict.ok()) verdict = st;
+    if (verdict.ok() && version != nullptr) *version = ack.version;
+  }
+  if (verdict.ok() && frames_sent != nullptr) *frames_sent = frames;
+  return verdict;
 }
 
 }  // namespace selnet::serve

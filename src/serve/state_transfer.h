@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -11,64 +10,48 @@
 ///
 /// Publishing to a remote shard ships the model itself: the EXACT bytes
 /// core::SaveModelBytes produces (the SaveModel file format, config +
-/// checksummed parameters) travel over the admin plane as a sequence of
-/// base64 frames, each carrying its own CRC-32, with a whole-payload CRC-32
-/// verified at commit. Because the wire carries the file format verbatim, a
-/// shard restored from a transfer serves BIT-IDENTICAL answers to one that
-/// loaded the same model from disk — the property the failover tests pin.
+/// checksummed parameters) travel raw in typed binary frames
+/// (wire_binary.h), each data frame carrying its own CRC-32, with a
+/// whole-payload CRC-32 verified at commit. Because the wire carries the file
+/// format verbatim, a shard restored from a transfer serves BIT-IDENTICAL
+/// answers to one that loaded the same model from disk — the property the
+/// failover tests pin.
 ///
-/// Wire sequence (sender -> receiver, each line acked before the next):
+/// Wire sequence (sender -> receiver on a binary connection, written back
+/// to back; the receiver answers every frame in order, and the sender reads
+/// the replies once, after the commit):
 ///
-///   {"cmd":"xfer_begin","model":"r","size":N,"frames":K}
-///   {"cmd":"xfer_frame","seq":0,"crc":C0,"data":"<base64>"}
+///   kTransferBegin  {route, size N, frames K}       -> kTransferAck
+///   kTransferData   {seq 0, crc C0, bytes}          -> kTransferAck
 ///   ...
-///   {"cmd":"xfer_frame","seq":K-1,"crc":...,"data":"..."}
-///   {"cmd":"xfer_commit","model":"r","crc":W}   -> {"ok":true,"version":V}
+///   kTransferData   {seq K-1, crc, bytes}           -> kTransferAck
+///   kTransferCommit {route, whole-payload crc W}    -> kTransferAck{version}
 ///
 /// Failure handling is receiver-side and per-connection: a frame whose CRC
-/// or sequence number disagrees aborts the transfer (the sender sees a typed
-/// error ack and must restart from xfer_begin); a connection that dies
-/// mid-transfer discards the partial state with it. Nothing is published
-/// until the commit's whole-payload checksum passes, so a receiver can never
-/// serve a torn model.
+/// or sequence number disagrees aborts the transfer and is answered with a
+/// typed kError frame (so are the frames after it: the transfer is gone);
+/// the sender restarts from begin. A connection that dies mid-transfer
+/// discards the partial state with it. Nothing is published until the
+/// commit's whole-payload checksum passes, so a receiver can never serve a
+/// torn model. A peer that only speaks JSON cannot send or receive model
+/// state.
 
 namespace selnet::serve {
 
 class NetClient;
 
-/// \brief Frame size for SendModelState. 48 KiB of raw bytes stays — after
-/// the 4/3 base64 expansion plus JSON framing — comfortably inside the
-/// frontend's 1 MiB line cap, with room for the cap to shrink 10x before
-/// transfers notice.
-constexpr size_t kDefaultFrameBytes = 48 << 10;
+/// \brief Data bytes per frame for SendModelState. The receiver's frame cap
+/// (FrontendConfig::max_line_bytes, 1 MiB by default) bounds it; 256 KiB
+/// ships the ~600 KB servebench model in three frames.
+constexpr size_t kDefaultFrameBytes = 256 << 10;
 
-/// \brief Ceiling on one transfer's announced payload size. The admin line's
-/// `size` is attacker-controlled input on an open TCP port, so Begin must
-/// reject it with a typed error rather than attempt the allocation — a
+/// \brief Ceiling on one transfer's announced payload size. The begin
+/// frame's `size` is attacker-controlled input on an open TCP port, so Begin
+/// must reject it with a typed error rather than attempt the allocation — a
 /// 2^64-1 claim would otherwise throw out of buf_.reserve and take the
 /// whole serving process down. 1 GiB is ~3 orders of magnitude above any
 /// real SaveModel payload here.
 constexpr uint64_t kMaxTransferBytes = 1ull << 30;
-
-/// \brief One transfer frame: `data` holds RAW payload bytes (base64 only on
-/// the wire), `crc` their CRC-32.
-struct TransferFrame {
-  uint64_t seq = 0;
-  uint32_t crc = 0;
-  std::string data;
-};
-
-/// \brief Split `bytes` into checksummed frames of at most `frame_bytes`.
-std::vector<TransferFrame> BuildFrames(const std::string& bytes,
-                                       size_t frame_bytes = kDefaultFrameBytes);
-
-/// \brief Serialize the admin lines of the transfer sequence (no trailing
-/// newline; exposed for the harness's fault-injection variants).
-std::string SerializeXferBegin(const std::string& model, uint64_t size,
-                               uint64_t frames, uint64_t tag = 0);
-std::string SerializeXferFrame(const TransferFrame& frame, uint64_t tag = 0);
-std::string SerializeXferCommit(const std::string& model, uint32_t whole_crc,
-                                uint64_t tag = 0);
 
 /// \brief Receiver-side reassembly of one transfer. One instance per
 /// connection (a transfer never spans connections); not thread-safe — the
@@ -80,9 +63,10 @@ class TransferAssembler {
   util::Status Begin(const std::string& model, uint64_t size, uint64_t frames);
 
   /// \brief Append frame `seq` after verifying its CRC. Frames must arrive
-  /// in order — the admin plane is a single TCP stream, so a gap means a
+  /// in order — the transfer rides a single TCP stream, so a gap means a
   /// sender bug, not reordering. Any failure aborts the transfer.
-  util::Status AddFrame(uint64_t seq, uint32_t crc, const std::string& data);
+  util::Status AddFrame(uint64_t seq, uint32_t crc, const char* data,
+                        size_t len);
 
   /// \brief Verify frame count, byte count, and the whole-payload CRC, then
   /// hand the assembled bytes out (the transfer ends either way).
@@ -91,12 +75,10 @@ class TransferAssembler {
 
   void Abort();
   bool active() const { return active_; }
-  const std::string& model() const { return model_; }
 
   /// \brief Override the per-transfer payload ceiling (tests; embedders with
   /// bigger models).
   void set_max_bytes(uint64_t max_bytes) { max_bytes_ = max_bytes; }
-  uint64_t max_bytes() const { return max_bytes_; }
 
  private:
   bool active_ = false;
@@ -108,13 +90,16 @@ class TransferAssembler {
   std::string buf_;
 };
 
-/// \brief Sender-side driver: push `bytes` as route `model` over a connected
-/// blocking client, awaiting each ack. Returns the version the receiver
-/// published (via `*version` when non-null). A kUnavailable /kIoError status
-/// means the transfer must restart from scratch on a fresh connection.
+/// \brief Sender side: negotiate the binary framing on a connected
+/// client, write the whole transfer of `bytes` as route `model`, then read
+/// every reply. Returns the version the receiver published (via `*version`)
+/// and the number of data frames written (via `*frames_sent`), each when
+/// non-null. Any error means the transfer must restart from scratch; the
+/// first rejected frame's error is the one returned.
 util::Status SendModelState(NetClient* client, const std::string& model,
                             const std::string& bytes,
                             uint64_t* version = nullptr,
+                            uint64_t* frames_sent = nullptr,
                             size_t frame_bytes = kDefaultFrameBytes);
 
 }  // namespace selnet::serve

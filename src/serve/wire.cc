@@ -193,9 +193,6 @@ constexpr CommandInfo kCommands[kNumCommands] = {
     {Command::kMetrics, "metrics", 1},
     {Command::kEvents, "events", 1},
     {Command::kStatsWire, "stats_wire", 1},
-    {Command::kXferBegin, "xfer_begin", 1},
-    {Command::kXferFrame, "xfer_frame", 1},
-    {Command::kXferCommit, "xfer_commit", 1},
 };
 
 }  // namespace
@@ -340,12 +337,6 @@ Status ParseAdminLine(const std::string& line, AdminRequest* req) {
   SEL_RETURN_NOT_OK(ParseObject(&p, [&](const std::string& key) -> Status {
     if (key == "cmd") return p.String(&parsed.cmd);
     if (key == "tag") return p.Uint(&parsed.tag);
-    if (key == "model") return p.String(&parsed.model);
-    if (key == "data") return p.String(&parsed.data);
-    if (key == "seq") return p.Uint(&parsed.seq);
-    if (key == "crc") return p.Uint(&parsed.crc);
-    if (key == "size") return p.Uint(&parsed.size);
-    if (key == "frames") return p.Uint(&parsed.frames);
     if (key == "proto") return p.String(&parsed.proto);
     if (key == "max_version") return p.Uint(&parsed.max_version);
     return p.Fail("unknown admin field '" + key + "'");
@@ -360,12 +351,6 @@ Status ParseAdminLine(const std::string& line, AdminRequest* req) {
 std::string SerializeAdminRequest(const AdminRequest& req) {
   JsonWriter w;
   w.Field("cmd", req.cmd);
-  if (!req.model.empty()) w.Field("model", req.model);
-  if (!req.data.empty()) w.Field("data", req.data);
-  if (req.seq != 0) w.Field("seq", req.seq);
-  if (req.crc != 0) w.Field("crc", req.crc);
-  if (req.size != 0) w.Field("size", req.size);
-  if (req.frames != 0) w.Field("frames", req.frames);
   if (!req.proto.empty()) w.Field("proto", req.proto);
   if (req.max_version != 0) w.Field("max_version", req.max_version);
   if (req.tag != 0) w.Field("tag", req.tag);

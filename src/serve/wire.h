@@ -86,12 +86,9 @@
 /// usual {"error":...} reply. Admin requests are answered synchronously on
 /// the frontend's poll loop — a stats scrape never queues behind estimates.
 ///
-/// State transfer (see state_transfer.h) rides the admin plane as three
-/// commands, each answered with an {"ok":true,...} ack or an error:
-///   {"cmd":"xfer_begin","model":"r","size":N,"frames":K,"tag":t}
-///   {"cmd":"xfer_frame","seq":i,"crc":C,"data":"<base64>","tag":t}
-///   {"cmd":"xfer_commit","model":"r","crc":W,"tag":t}
-/// The commit ack carries the published version: {"ok":true,"version":V}.
+/// State transfer (state_transfer.h) is not a JSON command: model bytes
+/// travel raw in typed binary frames (wire_binary.h), so a JSON-only peer
+/// cannot send or receive model state.
 ///
 /// Floats travel as shortest-round-trip decimals (std::to_chars) and are
 /// parsed back with std::from_chars on the raw token, so a served estimate
@@ -107,7 +104,10 @@ namespace selnet::serve {
 
 /// \brief Highest protocol version this build speaks. Version 1 covers the
 /// whole command set below plus the binary framing; the hello exchange picks
-/// min(client max, server max) per connection.
+/// min(client max, server max) per connection. The state-transfer frame
+/// types (wire_binary.h) did not bump it: a peer without them rejects their
+/// type byte as lost framing, so an old receiver fails a transfer loudly
+/// while estimate frames keep interoperating.
 inline constexpr uint8_t kWireVersion = 1;
 
 /// \brief The framing a connection speaks (selected by the hello exchange;
@@ -134,11 +134,8 @@ enum class Command : uint8_t {
   kMetrics,       ///< Prometheus-style exposition text.
   kEvents,        ///< Coordinator flight-recorder ring.
   kStatsWire,     ///< Flat machine-scrape snapshot (coordinator merge).
-  kXferBegin,     ///< State transfer: announce size/frames.
-  kXferFrame,     ///< State transfer: one CRC'd base64 frame.
-  kXferCommit,    ///< State transfer: verify + publish.
 };
-inline constexpr size_t kNumCommands = 11;
+inline constexpr size_t kNumCommands = 8;
 
 /// \brief One registry row: the wire name and the protocol version that
 /// introduced the command (a peer negotiated below it must not send it).
@@ -168,18 +165,10 @@ util::Status DeadlineFromBudget(
     std::chrono::steady_clock::time_point* deadline);
 
 /// \brief One metrics/admin-plane request ({"cmd":"stats"} / {"cmd":"slow"} /
-/// {"cmd":"health"} / the xfer_* state-transfer family).
+/// {"cmd":"health"} / …).
 struct AdminRequest {
   std::string cmd;
   uint64_t tag = 0;
-  // State-transfer fields; zero/empty except on xfer_* commands.
-  std::string model;   ///< Target route (xfer_begin / xfer_commit).
-  std::string data;    ///< Base64 frame payload (xfer_frame).
-  uint64_t seq = 0;    ///< Frame index (xfer_frame).
-  uint64_t crc = 0;    ///< Frame CRC-32 (xfer_frame) / whole-payload CRC-32
-                       ///  (xfer_commit).
-  uint64_t size = 0;   ///< Total payload bytes (xfer_begin).
-  uint64_t frames = 0; ///< Total frame count (xfer_begin).
   // Negotiation fields; empty/zero except on hello.
   std::string proto;        ///< Requested framing ("binary" / "json").
   uint64_t max_version = 0; ///< Highest version the client speaks (0 = 1).

@@ -111,6 +111,13 @@ class PayloadReader {
     return Status::OK();
   }
 
+  /// Everything left in the payload, without a copy.
+  const char* TakeRest(size_t* n) {
+    *n = len_ - off_;
+    off_ = len_;
+    return p_ + off_ - *n;
+  }
+
   /// u32 count + raw f32 words. The count is validated against the bytes
   /// actually present BEFORE any allocation — a hostile count cannot force
   /// a giant reserve.
@@ -200,7 +207,7 @@ FramePeel PeelFrameHeader(const char* data, size_t len, size_t max_payload,
     return FramePeel::kBad;
   }
   if (u[3] < uint8_t(FrameType::kEstimate) ||
-      u[3] > uint8_t(FrameType::kAdminReply)) {
+      u[3] > uint8_t(FrameType::kTransferAck)) {
     if (err != nullptr) {
       *err = "wire: unknown frame type " + std::to_string(u[3]);
     }
@@ -265,6 +272,60 @@ void AppendAdminFrame(std::string* out, FrameType type, uint64_t tag,
                       const std::string& json) {
   FrameBuilder frame(out, type, tag);
   out->append(json);
+}
+
+void AppendTransferFrame(std::string* out, FrameType type, uint64_t tag,
+                         const TransferFields& f) {
+  FrameBuilder frame(out, type, tag);
+  switch (type) {
+    case FrameType::kTransferBegin:
+      PutShortString(out, f.model);
+      PutU64(out, f.size);
+      PutU64(out, f.frames);
+      break;
+    case FrameType::kTransferData:
+      PutU64(out, f.seq);
+      PutU32(out, f.crc);
+      out->append(f.data, f.data_len);
+      break;
+    case FrameType::kTransferCommit:
+      PutShortString(out, f.model);
+      PutU32(out, f.crc);
+      break;
+    default:  // kTransferAck.
+      PutU64(out, f.version);
+      break;
+  }
+}
+
+Status DecodeTransferPayload(FrameType type, const char* p, size_t len,
+                             TransferFields* f) {
+  TransferFields parsed;
+  PayloadReader r(p, len);
+  switch (type) {
+    case FrameType::kTransferBegin:
+      SEL_RETURN_NOT_OK(r.ReadShortString(&parsed.model));
+      SEL_RETURN_NOT_OK(r.ReadU64(&parsed.size));
+      SEL_RETURN_NOT_OK(r.ReadU64(&parsed.frames));
+      break;
+    case FrameType::kTransferData:
+      SEL_RETURN_NOT_OK(r.ReadU64(&parsed.seq));
+      SEL_RETURN_NOT_OK(r.ReadU32(&parsed.crc));
+      parsed.data = r.TakeRest(&parsed.data_len);
+      break;
+    case FrameType::kTransferCommit:
+      SEL_RETURN_NOT_OK(r.ReadShortString(&parsed.model));
+      SEL_RETURN_NOT_OK(r.ReadU32(&parsed.crc));
+      break;
+    case FrameType::kTransferAck:
+      SEL_RETURN_NOT_OK(r.ReadU64(&parsed.version));
+      break;
+    default:
+      return r.Fail("not a transfer frame");
+  }
+  if (!r.AtEnd()) return r.Fail("trailing bytes");
+  *f = std::move(parsed);
+  return Status::OK();
 }
 
 Status DecodeRequestPayload(const char* p, size_t len,

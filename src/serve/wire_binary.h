@@ -47,9 +47,19 @@
 ///     bytes). Maps to the same typed Status taxonomy as a JSON error line
 ///     (StatusFromWireError).
 ///   * kAdmin / kAdminReply: the payload is one JSON admin line / reply
-///     (wire.h) WITHOUT the trailing newline. The whole admin plane —
-///     stats, metrics, state transfer — rides binary connections unchanged;
-///     framing is the only difference.
+///     (wire.h) WITHOUT the trailing newline. The admin plane — stats,
+///     metrics, health — rides binary connections unchanged; framing is the
+///     only difference.
+///   * State transfer (state_transfer.h; binary connections only), sender
+///     -> receiver, then one reply per frame:
+///       - kTransferBegin: route (u8 length + bytes), size u64, frames u64;
+///       - kTransferData: seq u64, crc u32 (CRC-32 of the data), then the
+///         raw payload bytes up to the end of the frame;
+///       - kTransferCommit: route (u8 length + bytes), crc u32 (CRC-32 of
+///         the whole payload);
+///       - kTransferAck (receiver -> sender): version u64 (the published
+///         version on a commit, 0 otherwise). A rejected frame is answered
+///         with a kError frame carrying its tag instead.
 ///
 /// Malformed-frame policy (mirrors the JSON oversized-line policy): a header
 /// with bad magic, an unknown version, or a payload_len over the receiver's
@@ -70,6 +80,10 @@ enum class FrameType : uint8_t {
   kError = 3,
   kAdmin = 4,
   kAdminReply = 5,
+  kTransferBegin = 6,
+  kTransferData = 7,
+  kTransferCommit = 8,
+  kTransferAck = 9,
 };
 
 /// \brief One decoded frame header.
@@ -108,6 +122,29 @@ void AppendErrorFrame(std::string* out, const std::string& message,
 /// \brief Append a kAdmin or kAdminReply frame wrapping one JSON line.
 void AppendAdminFrame(std::string* out, FrameType type, uint64_t tag,
                       const std::string& json);
+
+/// \brief The fields of one state-transfer frame; which are meaningful
+/// depends on the type (see the frame table above).
+struct TransferFields {
+  std::string model;           ///< Begin, commit.
+  uint64_t size = 0;           ///< Begin: whole payload bytes.
+  uint64_t frames = 0;         ///< Begin: data frame count.
+  uint64_t seq = 0;            ///< Data.
+  uint32_t crc = 0;            ///< Data: its bytes; commit: whole payload.
+  const char* data = nullptr;  ///< Data: raw bytes (decoded: points INTO
+  size_t data_len = 0;         ///  the frame payload, no copy).
+  uint64_t version = 0;        ///< Ack.
+};
+
+/// \brief Append a whole transfer frame of `type` (kTransferBegin / Data /
+/// Commit / Ack) carrying `f`.
+void AppendTransferFrame(std::string* out, FrameType type, uint64_t tag,
+                         const TransferFields& f);
+
+/// \brief Decode a transfer frame payload of `type`. Counts and lengths are
+/// checked against the payload; nothing is allocated from them.
+util::Status DecodeTransferPayload(FrameType type, const char* p, size_t len,
+                                   TransferFields* f);
 
 /// \brief Decode a kEstimate payload. `now` anchors a relative deadline to
 /// the steady clock — passed in so a batch of frames decoded in one read

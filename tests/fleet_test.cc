@@ -18,7 +18,9 @@
 #include "serve/shard_router.h"
 #include "serve/state_transfer.h"
 #include "serve/wire.h"
+#include "serve/wire_binary.h"
 #include "util/backoff.h"
+#include "util/crc32.h"
 #include "serve_await.h"
 
 /// Fleet invariants (PR 8): R-way replication across local + remote slots,
@@ -339,6 +341,73 @@ TEST(TransferAssemblerLimits, HostileAnnouncementsAreTypedRejections) {
   a.set_max_bytes(16);
   EXPECT_TRUE(a.Begin("r", 16, 1).ok());
   EXPECT_FALSE(a.Begin("r", 17, 1).ok());
+  // A frame that would grow the payload past the announced size is refused
+  // before it is buffered, and aborts the transfer.
+  ASSERT_TRUE(a.Begin("r", 8, 1).ok());
+  const std::string nine(9, 'x');
+  util::Status lie = a.AddFrame(0, util::Crc32(nine.data(), nine.size()),
+                                nine.data(), nine.size());
+  ASSERT_FALSE(lie.ok());
+  EXPECT_NE(lie.message().find("exceeds announced size"), std::string::npos);
+  EXPECT_FALSE(a.active());
+}
+
+/// Write one transfer frame and read its reply: OK for an ack, the error
+/// frame's message otherwise. Every reply must echo the frame's tag.
+util::Status TransferStep(NetClient* client, FrameType type, uint64_t tag,
+                          const TransferFields& f) {
+  std::string out;
+  AppendTransferFrame(&out, type, tag, f);
+  SEL_RETURN_NOT_OK(client->SendRaw(out));
+  FrameHeader hdr;
+  SEL_ASSIGN_OR_RETURN(std::string payload, client->ReadFrame(&hdr));
+  EXPECT_EQ(hdr.tag, tag);
+  if (hdr.type == FrameType::kTransferAck) return util::Status::OK();
+  EXPECT_EQ(hdr.type, FrameType::kError);
+  std::string code, message;
+  SEL_RETURN_NOT_OK(
+      DecodeErrorPayload(payload.data(), payload.size(), &code, &message));
+  return util::Status::Invalid(message);
+}
+
+TransferFields Begin(uint64_t size, uint64_t frames) {
+  TransferFields f;
+  f.model = "r";
+  f.size = size;
+  f.frames = frames;
+  return f;
+}
+
+TransferFields Data(uint64_t seq, const std::string& bytes, uint32_t crc) {
+  TransferFields f;
+  f.seq = seq;
+  f.data = bytes.data();
+  f.data_len = bytes.size();
+  f.crc = crc;
+  return f;
+}
+
+TransferFields Commit(const std::string& bytes) {
+  TransferFields f;
+  f.model = "r";
+  f.crc = util::Crc32(bytes.data(), bytes.size());
+  return f;
+}
+
+/// A bare frame header, for frames the codec would never build.
+std::string RawHeader(FrameType type, uint32_t payload_len, uint64_t tag) {
+  std::string h = {char(kFrameMagic0), char(kFrameMagic1), char(kWireVersion),
+                   char(uint8_t(type))};
+  for (int i = 0; i < 4; ++i) {
+    h.push_back(char((payload_len >> (8 * i)) & 0xff));
+  }
+  for (int i = 0; i < 8; ++i) h.push_back(char((tag >> (8 * i)) & 0xff));
+  return h;
+}
+
+void ExpectRejected(util::Status st, const std::string& needle) {
+  ASSERT_FALSE(st.ok()) << "expected a rejection mentioning " << needle;
+  EXPECT_NE(st.message().find(needle), std::string::npos) << st.ToString();
 }
 
 TEST_F(FleetTest, HostileTransferOverWireGetsErrorReplyAndNodeSurvives) {
@@ -348,17 +417,57 @@ TEST_F(FleetTest, HostileTransferOverWireGetsErrorReplyAndNodeSurvives) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", node.port()).ok());
   client.set_recv_timeout_ms(2000);
-  // One hostile admin line from any TCP client: the reply must be a typed
-  // error, not a dead process.
-  ASSERT_TRUE(client
-                  .SendRaw("{\"cmd\":\"xfer_begin\",\"model\":\"r\","
-                           "\"size\":18446744073709551615,\"frames\":1}\n")
+  ASSERT_TRUE(client.Hello(WireProto::kBinary).ok());
+  ASSERT_EQ(client.proto(), WireProto::kBinary);
+  const std::string eight = "8 bytes!";
+  const uint32_t crc8 = util::Crc32(eight.data(), eight.size());
+
+  // Hostile frames from any TCP client: each gets a typed error reply with
+  // its own tag, and the connection stays open.
+  ExpectRejected(TransferStep(&client, FrameType::kTransferBegin, 1,
+                              Begin(std::numeric_limits<uint64_t>::max(), 1)),
+                 "exceeds");
+  ExpectRejected(TransferStep(&client, FrameType::kTransferData, 2,
+                              Data(0, eight, crc8)),
+                 "without begin");
+  ExpectRejected(TransferStep(&client, FrameType::kTransferCommit, 3,
+                              Commit(eight)),
+                 "without begin");
+  ASSERT_TRUE(
+      TransferStep(&client, FrameType::kTransferBegin, 4, Begin(16, 2)).ok());
+  ExpectRejected(TransferStep(&client, FrameType::kTransferData, 5,
+                              Data(1, eight, crc8)),
+                 "out of order");
+  ASSERT_TRUE(
+      TransferStep(&client, FrameType::kTransferBegin, 6, Begin(8, 1)).ok());
+  ExpectRejected(TransferStep(&client, FrameType::kTransferData, 7,
+                              Data(0, eight, crc8 ^ 1u)),
+                 "checksum mismatch");
+  EXPECT_EQ(node.frontend().Stats().transfer_crc_rejections, 1u);
+  // Size lies in both directions: more bytes than announced, and a commit
+  // short of the announced size.
+  ASSERT_TRUE(
+      TransferStep(&client, FrameType::kTransferBegin, 8, Begin(4, 1)).ok());
+  ExpectRejected(TransferStep(&client, FrameType::kTransferData, 9,
+                              Data(0, eight, crc8)),
+                 "exceeds announced size");
+  ASSERT_TRUE(
+      TransferStep(&client, FrameType::kTransferBegin, 10, Begin(16, 1)).ok());
+  ASSERT_TRUE(TransferStep(&client, FrameType::kTransferData, 11,
+                           Data(0, eight, crc8))
                   .ok());
-  auto reply = client.ReadLine();
+  ExpectRejected(TransferStep(&client, FrameType::kTransferCommit, 12,
+                              Commit(eight)),
+                 "incomplete payload");
+  // A data frame too short to hold its seq and crc is a decode error.
+  ASSERT_TRUE(
+      client.SendRaw(RawHeader(FrameType::kTransferData, 3, 13) + "abc").ok());
+  FrameHeader hdr;
+  auto reply = client.ReadFrame(&hdr);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  util::Status st = ParseAckLine(reply.ValueOrDie());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("exceeds"), std::string::npos);
+  EXPECT_EQ(hdr.type, FrameType::kError);
+  EXPECT_EQ(hdr.tag, 13u);
+  EXPECT_EQ(node.frontend().Stats().transfer_installs, 0u);
 
   // The same connection (and the node) keeps serving: a real transfer then
   // succeeds end to end.
@@ -366,6 +475,68 @@ TEST_F(FleetTest, HostileTransferOverWireGetsErrorReplyAndNodeSurvives) {
   util::Status sent = SendModelState(&client, "m", *bytes_, &version);
   ASSERT_TRUE(sent.ok()) << sent.ToString();
   EXPECT_GE(version, 1u);
+
+  // A frame over the receiver's cap loses framing: one typed error frame
+  // (tag 0), then the node closes THAT connection — and keeps answering.
+  NetClient big;
+  ASSERT_TRUE(big.Connect("127.0.0.1", node.port()).ok());
+  big.set_recv_timeout_ms(2000);
+  ASSERT_TRUE(big.Hello(WireProto::kBinary).ok());
+  const uint32_t over = uint32_t(FrontendConfig{}.max_line_bytes + 1);
+  ASSERT_TRUE(big.SendRaw(RawHeader(FrameType::kTransferData, over, 14)).ok());
+  auto rejected = big.ReadFrame(&hdr);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(hdr.type, FrameType::kError);
+  EXPECT_EQ(hdr.tag, 0u);
+  EXPECT_FALSE(big.ReadFrame(&hdr).ok());  // Closed by the node.
+  ClientCall health;
+  health.cmd = Command::kHealth;
+  EXPECT_TRUE(client.Call(health).ok());
+  sent = SendModelState(&client, "m", *bytes_, &version);
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_EQ(node.frontend().Stats().transfer_installs, 2u);
+}
+
+TEST_F(FleetTest, JsonOnlyPeerCannotReceiveModelState) {
+  ShardNode node(NodeConfig());
+  ASSERT_TRUE(node.status().ok());
+  // The retired JSON command is just an unknown command now.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", node.port()).ok());
+  client.set_recv_timeout_ms(2000);
+  ASSERT_TRUE(client
+                  .SendRaw("{\"cmd\":\"xfer_begin\",\"model\":\"r\","
+                           "\"size\":8,\"frames\":1}\n")
+                  .ok());
+  auto reply = client.ReadLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  util::Status st = ParseAckLine(reply.ValueOrDie());
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("unknown"), std::string::npos) << st.ToString();
+}
+
+TEST_F(FleetTest, TransferFrameCountersAgreeAcrossTheWire) {
+  ShardNode node(NodeConfig());
+  ASSERT_TRUE(node.status().ok());
+  ShardedRegistry reg(FleetConfig(node.port()));
+  ASSERT_TRUE(WaitForHealth(reg, 1, ShardHealth::kHealthy));
+  auto v = reg.PublishFromBytes(RouteOwnedBy(reg, 1), *bytes_, "fleet test");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  const uint64_t tx =
+      reg.metrics().CounterTotal("selnet_transfer_tx_frames_total");
+  EXPECT_GE(tx, 1u);
+  EXPECT_EQ(tx, node.frontend().Stats().transfer_frames);
+
+  // Another frame size: the sender reports the frames it actually wrote.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", node.port()).ok());
+  client.set_recv_timeout_ms(2000);
+  uint64_t frames = 0;
+  util::Status sent =
+      SendModelState(&client, "m", *bytes_, nullptr, &frames, 512);
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_EQ(frames, (bytes_->size() + 511) / 512);
+  EXPECT_EQ(node.frontend().Stats().transfer_frames, tx + frames);
 }
 
 /// Minimal non-SelNetCt estimator: it cannot serialize for state transfer,

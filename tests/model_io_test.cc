@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <unistd.h>
 
 #include "core/model_io.h"
 #include "data/synthetic.h"
+#include "nn/serialize.h"
 #include "util/csv.h"
 
 namespace selnet::core {
@@ -103,6 +105,21 @@ TEST_F(ModelIoFixture, CorruptMagicRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(ModelIoFixture, InvalidConfigRejectedNotAborted) {
+  SelNetCt model(cfg_);
+  auto bytes = SaveModelBytes(model);
+  ASSERT_TRUE(bytes.ok());
+  // input_dim is the first config field, right after magic + version.
+  std::string zero_dim = bytes.ValueOrDie();
+  std::memset(&zero_dim[8], 0, sizeof(uint64_t));
+  auto loaded = LoadModelBytes(zero_dim, "zero-dim buffer");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("invalid config"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(ModelIoFixture, TruncatedFileRejected) {
   SelNetCt model(cfg_);
   std::string path = ::testing::TempDir() + "/trunc.selm";
@@ -180,6 +197,70 @@ TEST_F(ModelIoFixture, ByteBufferRoundTripMatchesFileFormat) {
   EXPECT_NE(bad.status().message().find("unit test buffer"),
             std::string::npos)
       << bad.status().ToString();
+}
+
+/// True when both models hold the same parameters, bit for bit.
+bool SameParams(const SelNetCt& a, const SelNetCt& b) {
+  std::vector<ag::Var> pa = a.Params(), pb = b.Params();
+  if (pa.size() != pb.size()) return false;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    const Matrix& ma = pa[i]->value;
+    const Matrix& mb = pb[i]->value;
+    if (ma.rows() != mb.rows() || ma.cols() != mb.cols() ||
+        std::memcmp(ma.data(), mb.data(), ma.size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(ModelIoFixture, NoInitLoadMatchesRandomInitReferenceBitForBit) {
+  SelNetCt model(cfg_);
+  model.Fit(ctx_);
+  auto bytes = SaveModelBytes(model);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto loaded = LoadModelBytes(bytes.ValueOrDie(), "unit test buffer");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SelNetCt& fast = *loaded.ValueOrDie();
+
+  // The reference path: a randomly initialised model, then the same
+  // parameter payload read over it (LoadParams -> ReadParamsPayload).
+  std::string path = ::testing::TempDir() + "/reference.seln";
+  ASSERT_TRUE(nn::SaveParams(model.Params(), path).ok());
+  SelNetCt ref(cfg_);
+  ASSERT_TRUE(nn::LoadParams(path, ref.Params()).ok());
+  ref.InvalidateInferenceCache();
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(SameParams(ref, fast));
+  data::Batch b = data::MaterializeAll(wl_.queries, wl_.test);
+  Matrix ya = ref.Predict(b.x, b.t);
+  Matrix yb = fast.Predict(b.x, b.t);
+  ASSERT_EQ(ya.size(), yb.size());
+  for (size_t i = 0; i < ya.size(); ++i) EXPECT_EQ(ya.data()[i], yb.data()[i]);
+  for (size_t q = 0; q < wl_.queries.rows(); ++q) {
+    std::vector<float> tau_a, p_a, tau_b, p_b;
+    ASSERT_TRUE(ref.SweepCurve(wl_.queries.row(q), &tau_a, &p_a));
+    ASSERT_TRUE(fast.SweepCurve(wl_.queries.row(q), &tau_b, &p_b));
+    EXPECT_EQ(tau_a, tau_b) << "query " << q;
+    EXPECT_EQ(p_a, p_b) << "query " << q;
+  }
+}
+
+TEST_F(ModelIoFixture, TwoLoadsOfTheSameBytesRetrainIdentically) {
+  SelNetCt model(cfg_);
+  model.Fit(ctx_);
+  auto bytes = SaveModelBytes(model);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto a = LoadModelBytes(bytes.ValueOrDie(), "first load");
+  auto b = LoadModelBytes(bytes.ValueOrDie(), "second load");
+  ASSERT_TRUE(a.ok() && b.ok());
+  // A loaded model's rng starts at its constructor seed, so retraining two
+  // loads draws the same shuffles and lands on the same weights.
+  a.ValueOrDie()->IncrementalFit(ctx_, /*patience=*/2, /*max_epochs=*/3);
+  b.ValueOrDie()->IncrementalFit(ctx_, /*patience=*/2, /*max_epochs=*/3);
+  EXPECT_TRUE(SameParams(*a.ValueOrDie(), *b.ValueOrDie()));
+  EXPECT_FALSE(SameParams(*a.ValueOrDie(), model));  // Training moved them.
 }
 
 TEST(CsvTest, EscapesSpecialCharacters) {

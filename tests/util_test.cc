@@ -534,5 +534,42 @@ TEST(Crc32Test, MatchesKnownVectorAndChunksCompose) {
   EXPECT_NE(Crc32(corrupt.data(), corrupt.size()), whole);
 }
 
+/// The bytewise reference the sliced implementation must match bit for bit.
+uint32_t Crc32Bytewise(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Every length 0..257 at every offset 0..7 covers each tail length of the
+  // 8-byte main loop at each alignment.
+  std::vector<unsigned char> buf(8 + 257);
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = uint8_t(i * 131u + 7u);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const unsigned char* p = buf.data() + off;
+      ASSERT_EQ(Crc32(p, len), Crc32Bytewise(p, len, 0))
+          << "off " << off << " len " << len;
+      ASSERT_EQ(Crc32(p, len, 0x12345678u),
+                Crc32Bytewise(p, len, 0x12345678u))
+          << "seeded, off " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingMatchesOnePassAtEverySplit) {
+  std::vector<unsigned char> ab(100);
+  for (size_t i = 0; i < ab.size(); ++i) ab[i] = uint8_t(i * 37u + 11u);
+  const uint32_t whole = Crc32(ab.data(), ab.size());
+  for (size_t m = 0; m <= ab.size(); ++m) {
+    EXPECT_EQ(Crc32(ab.data() + m, ab.size() - m, Crc32(ab.data(), m)), whole)
+        << "split at " << m;
+  }
+}
+
 }  // namespace
 }  // namespace selnet::util

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "eval/estimator.h"
+#include "serve/admission.h"
 #include "serve/client_channel.h"
 #include "serve/frontend.h"
 #include "serve/wire.h"
@@ -300,6 +302,65 @@ TEST(BinaryCodecTest, TruncatedPayloadsAreTypedDecodeErrors) {
       DecodeRequestPayload(hostile.data(), hostile.size(), now, &out).ok());
 }
 
+TEST(BinaryCodecTest, TransferFramesRoundTripAndRejectEveryTruncation) {
+  const std::string bytes = "raw model bytes \xD5\x53\n{";
+  TransferFields begin{"route", 1234, 2};
+  TransferFields data;
+  data.seq = 1;
+  data.crc = 0xDEADBEEFu;
+  data.data = bytes.data();
+  data.data_len = bytes.size();
+  TransferFields commit;
+  commit.model = "route";
+  commit.crc = 0xCAFEF00Du;
+  TransferFields ack;
+  ack.version = 42;
+  const std::pair<FrameType, TransferFields> frames[] = {
+      {FrameType::kTransferBegin, begin},
+      {FrameType::kTransferData, data},
+      {FrameType::kTransferCommit, commit},
+      {FrameType::kTransferAck, ack}};
+  for (const auto& [type, fields] : frames) {
+    std::string buf;
+    AppendTransferFrame(&buf, type, 9, fields);
+    FrameHeader hdr;
+    std::string err;
+    ASSERT_EQ(PeelFrameHeader(buf.data(), buf.size(), 1 << 20, &hdr, &err),
+              FramePeel::kFrame);
+    EXPECT_EQ(hdr.type, type);
+    EXPECT_EQ(hdr.tag, 9u);
+    const char* payload = buf.data() + kFrameHeaderBytes;
+    TransferFields out;
+    ASSERT_TRUE(
+        DecodeTransferPayload(type, payload, hdr.payload_len, &out).ok());
+    EXPECT_EQ(out.model, fields.model);
+    EXPECT_EQ(out.size, fields.size);
+    EXPECT_EQ(out.frames, fields.frames);
+    EXPECT_EQ(out.seq, fields.seq);
+    EXPECT_EQ(out.crc, fields.crc);
+    EXPECT_EQ(out.version, fields.version);
+    EXPECT_EQ(std::string(out.data == nullptr ? "" : out.data, out.data_len),
+              std::string(fields.data == nullptr ? "" : fields.data,
+                          fields.data_len));
+    // Data frames take every trailing byte as payload; every other type
+    // fails at every shorter length and on a trailing byte.
+    if (type == FrameType::kTransferData) continue;
+    for (size_t len = 0; len < hdr.payload_len; ++len) {
+      EXPECT_FALSE(DecodeTransferPayload(type, payload, len, &out).ok())
+          << int(type) << " at " << len;
+    }
+    std::string longer(payload, hdr.payload_len);
+    longer.push_back('x');
+    EXPECT_FALSE(
+        DecodeTransferPayload(type, longer.data(), longer.size(), &out).ok());
+  }
+  // A data frame too short for its seq + crc, and a non-transfer type.
+  TransferFields out;
+  EXPECT_FALSE(
+      DecodeTransferPayload(FrameType::kTransferData, "abc", 3, &out).ok());
+  EXPECT_FALSE(DecodeTransferPayload(FrameType::kEstimate, "", 0, &out).ok());
+}
+
 // ------------------------------------------------------ command registry ---
 
 TEST(CommandRegistryTest, TableIsExhaustiveAndBijective) {
@@ -319,7 +380,8 @@ TEST(CommandRegistryTest, TableIsExhaustiveAndBijective) {
   EXPECT_EQ(FindCommand(std::string("")), nullptr);
   // Spot-check the wire names are the protocol's, not the enum's.
   EXPECT_STREQ(FindCommand(Command::kStatsWire)->name, "stats_wire");
-  EXPECT_STREQ(FindCommand(Command::kXferCommit)->name, "xfer_commit");
+  // Model state travels only in binary transfer frames, never as JSON.
+  EXPECT_EQ(FindCommand(std::string("xfer_commit")), nullptr);
   EXPECT_STREQ(FindCommand(Command::kHello)->name, "hello");
 }
 
@@ -891,6 +953,85 @@ TEST_F(ChannelFixture, CallWithoutConnectionFailsFastUnavailable) {
                  }
                });
   EXPECT_TRUE(fired);
+}
+
+// A peer that accepts (the kernel completes the handshake) and never reads
+// or answers. JSON framing: no hello round trip to wait on.
+struct SilentPeer {
+  util::TcpListener listener;
+  ClientChannelConfig Cfg(int recv_timeout_ms) {
+    EXPECT_TRUE(listener.Listen("127.0.0.1", 0).ok());
+    ClientChannelConfig cfg;
+    cfg.port = listener.port();
+    cfg.preferred_proto = WireProto::kJson;
+    cfg.recv_timeout_ms = recv_timeout_ms;
+    return cfg;
+  }
+};
+
+/// Submits one unanswerable request and returns how long its completion
+/// took, with the error it carried.
+double AwaitExpiry(ClientChannel* channel, EstimateRequest req,
+                   std::exception_ptr* error) {
+  std::promise<std::exception_ptr> fired;
+  const auto start = std::chrono::steady_clock::now();
+  channel->Call(std::move(req),
+                [&](EstimateResponse, std::exception_ptr e) {
+                  fired.set_value(e);
+                });
+  auto got = fired.get_future();
+  EXPECT_EQ(got.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  *error = got.get();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(ClientChannelExpiryTest, DeadlineShorterThanRecvTimeoutWakesIdleReader) {
+  SilentPeer peer;
+  ClientChannel channel(peer.Cfg(/*recv_timeout_ms=*/2000));
+  ASSERT_TRUE(channel.Connect().ok());
+  // Let the reader go idle: it now sleeps a whole recv timeout, so only the
+  // earlier request deadline below can (and must) wake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EstimateRequest req;
+  req.x = {0.0f};
+  req.thresholds = {0.5f};
+  req.deadline = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(100);
+  std::exception_ptr error;
+  const double waited_ms = AwaitExpiry(&channel, std::move(req), &error);
+  ASSERT_TRUE(error);
+  EXPECT_EQ(ShedReasonFrom(error), ShedReason::kDeadlineExpired);
+  EXPECT_GE(waited_ms, 95.0);
+  EXPECT_LT(waited_ms, 100.0 + 50.0);
+  channel.Close();
+}
+
+TEST(ClientChannelExpiryTest, RecvTimeoutFiresForUnansweredRequest) {
+  SilentPeer peer;
+  ClientChannel channel(peer.Cfg(/*recv_timeout_ms=*/120));
+  ASSERT_TRUE(channel.Connect().ok());
+  // Mid-way through the idle reader's sleep: the request's recv-timeout
+  // expiry falls after that wake-up, which then re-arms for it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EstimateRequest req;
+  req.x = {0.0f};
+  req.thresholds = {0.5f};
+  std::exception_ptr error;
+  const double waited_ms = AwaitExpiry(&channel, std::move(req), &error);
+  ASSERT_TRUE(error);
+  try {
+    std::rethrow_exception(error);
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), util::StatusCode::kDeadlineExceeded);
+  } catch (...) {
+    ADD_FAILURE() << "expected RemoteError";
+  }
+  EXPECT_GE(waited_ms, 115.0);
+  EXPECT_LT(waited_ms, 120.0 + 1000.0);
+  EXPECT_EQ(channel.pending(), 0u);
+  channel.Close();
 }
 
 }  // namespace
