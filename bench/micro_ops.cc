@@ -2,7 +2,9 @@
 /// \brief google-benchmark microbenchmarks for the hot kernels: GEMM (per
 /// dispatched micro-kernel, with GFLOP/s), pack-cache hit/build cost,
 /// autograd round trips, PWL gather, cover-tree operations, single-query
-/// SelNet prediction latency, the serving cache's per-request key cost, and
+/// SelNet prediction latency, the training kernels (the backward dX GEMM and
+/// the exact distance scan, per dispatched kernel), the serving cache's
+/// per-request key cost, and
 /// the publish path's model load and CRC-32 pass.
 ///
 /// Doubles as the CI kernel-dispatch smoke: with SELNET_REQUIRE_SIMD=1 the
@@ -14,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "autograd/ops.h"
 #include "core/model_io.h"
@@ -143,17 +146,23 @@ void BM_SelNetPredictSingleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SelNetPredictSingleQuery);
 
-void BM_ExactSelectivityScan(benchmark::State& state) {
+// One exact count over an (n x dim) Euclidean corpus on the given kernel
+// set (the 16-row squared-L2 block): {20000, 128} is the servebench corpus,
+// what each labelling query and each ground-truth profile costs.
+void RunExactScanBench(benchmark::State& state, const std::string& kernel,
+                       size_t n, size_t dim) {
+  std::string prev = tensor::ActiveKernel().name;
+  tensor::SetActiveKernel(kernel);
   data::SyntheticSpec spec;
-  spec.n = static_cast<size_t>(state.range(0));
-  spec.dim = 24;
+  spec.n = n;
+  spec.dim = dim;
   data::Database db(data::GenerateMixture(spec), data::Metric::kEuclidean);
   for (auto _ : state) {
     benchmark::DoNotOptimize(db.ExactSelectivity(db.vector(0), 0.5f));
   }
   state.SetItemsProcessed(state.iterations() * spec.n);
+  tensor::SetActiveKernel(prev);
 }
-BENCHMARK(BM_ExactSelectivityScan)->Arg(2000)->Arg(8000);
 
 // items/s in the report = FLOP/s (items = 2mnk per iteration): read the
 // per-kernel GFLOP/s straight off the BM_GemmPackedKernel rows.
@@ -198,6 +207,26 @@ BENCHMARK(BM_GemmPrepackedVsRepack)
     ->Args({256, 1})
     ->Args({512, 0})
     ->Args({512, 1});
+
+// The dX product of an ag::MatMul backward, Gemm(dY, false, W, true), on
+// the given kernel set: a 256-row batch against (k, n) = (layer output
+// width, layer input width). items/s = FLOP/s.
+void RunGemmNTBench(benchmark::State& state, const std::string& kernel,
+                    size_t k, size_t n) {
+  std::string prev = tensor::ActiveKernel().name;
+  tensor::SetActiveKernel(kernel);
+  const size_t m = 256;
+  util::Rng rng(15);
+  Matrix dy = Matrix::Gaussian(m, k, &rng);
+  Matrix w = Matrix::Gaussian(n, k, &rng);
+  Matrix dx(m, n);
+  for (auto _ : state) {
+    tensor::Gemm(dy, false, w, true, 1.0f, 1.0f, &dx);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  tensor::SetActiveKernel(prev);
+}
 
 // One request's cache-key work as the server does it: one QueryDigest of a
 // dim-128 query and the curve key derived from it.
@@ -259,6 +288,32 @@ int main(int argc, char** argv) {
           name.c_str(),
           [kernel = std::string(kern.name), n](benchmark::State& st) {
             RunPackedKernelBench(st, kernel, n);
+          });
+    }
+  }
+  // The servebench model's backward shapes: the p-net's output layer
+  // (432 -> 128), a p-net hidden layer (128 -> 128), a tau-net hidden layer
+  // (96 -> 96) and the AE encoder's input layer (64 -> 128).
+  const std::pair<size_t, size_t> nt_shapes[] = {
+      {432, 128}, {128, 128}, {96, 96}, {64, 128}};
+  const std::pair<size_t, size_t> scan_shapes[] = {
+      {2000, 24}, {8000, 24}, {20000, 128}};
+  for (const auto& kern : AvailableKernels()) {
+    const std::string kernel = kern.name;
+    for (auto [k, n] : nt_shapes) {
+      std::string name = "BM_GemmNT/" + kernel + "/" + std::to_string(k) +
+                         "/" + std::to_string(n);
+      benchmark::RegisterBenchmark(
+          name.c_str(), [kernel, k = k, n = n](benchmark::State& st) {
+            RunGemmNTBench(st, kernel, k, n);
+          });
+    }
+    for (auto [n, dim] : scan_shapes) {
+      std::string name = "BM_ExactSelectivityScan/" + kernel + "/" +
+                         std::to_string(n) + "/" + std::to_string(dim);
+      benchmark::RegisterBenchmark(
+          name.c_str(), [kernel, n = n, dim = dim](benchmark::State& st) {
+            RunExactScanBench(st, kernel, n, dim);
           });
     }
   }

@@ -21,6 +21,24 @@ ControlHeads::ControlHeads(const HeadsConfig& cfg, util::Rng* rng) : cfg_(cfg) {
   pb_ = ag::Param(tensor::Matrix(1, l + 2, 0.01f));
 }
 
+bool ControlHeads::AddParamFloats(const HeadsConfig& cfg, uint64_t* total) {
+  // The tau-net, p-net, pw ((L + 2) x H) and pb (1 x (L + 2)) the
+  // constructor above builds.
+  const uint64_t l = cfg.num_control;
+  uint64_t knots = 0, p_out = 0;
+  if (__builtin_add_overflow(l, 2, &knots) ||
+      __builtin_mul_overflow(knots, uint64_t{cfg.embed_h}, &p_out)) {
+    return false;
+  }
+  return nn::Mlp::AddParamFloats(
+             {cfg.input_dim, cfg.tau_hidden, cfg.tau_hidden, l + 1}, total) &&
+         nn::Mlp::AddParamFloats({cfg.input_dim, cfg.p_hidden, cfg.p_hidden,
+                                  cfg.p_hidden, p_out},
+                                 total) &&
+         !__builtin_add_overflow(*total, p_out, total) &&
+         !__builtin_add_overflow(*total, knots, total);
+}
+
 ControlHeads::ControlHeads(ControlHeads&& other) noexcept
     : cfg_(std::move(other.cfg_)),
       tau_net_(std::move(other.tau_net_)),

@@ -85,6 +85,10 @@ class ControlHeads : public nn::Module {
 
   std::vector<ag::Var> Params() const override;
 
+  /// \brief Add the floats the heads of `cfg` hold to `*total`, without
+  /// building them; false on 64-bit overflow.
+  static bool AddParamFloats(const HeadsConfig& cfg, uint64_t* total);
+
   const HeadsConfig& config() const { return cfg_; }
 
  private:

@@ -98,6 +98,17 @@ const char* ReadConfig(std::FILE* f, SelNetConfig* cfg) {
   return nullptr;
 }
 
+// Bytes from the current position of `f` to its end; false if `f` cannot
+// seek (the position is restored on success).
+bool RemainingBytes(std::FILE* f, uint64_t* bytes) {
+  long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return false;
+  long end = std::ftell(f);
+  if (std::fseek(f, pos, SEEK_SET) != 0 || end < pos) return false;
+  *bytes = static_cast<uint64_t>(end - pos);
+  return true;
+}
+
 Status SaveModelToFile(const SelNetCt& model, std::FILE* f,
                        const std::string& path) {
   if (std::fwrite(kMagic, 1, 4, f) != 4 || !WriteScalar(f, kVersion) ||
@@ -133,11 +144,28 @@ Result<std::unique_ptr<SelNetCt>> LoadModelFromFile(std::FILE* f,
                            field + "')");
   }
   // The config is not checksummed and may come off the wire: reject what
-  // the constructor would abort the process on.
-  if (cfg.input_dim == 0 || cfg.num_control == 0 || !(cfg.tmax > 0.0f)) {
+  // the constructor would abort the process on, and any architecture whose
+  // parameters the rest of the file cannot hold (4 bytes per float at the
+  // least) before allocating a single matrix.
+  if (cfg.input_dim == 0 || cfg.latent_dim == 0 || cfg.ae_hidden == 0 ||
+      cfg.num_control == 0 || cfg.tau_hidden == 0 || cfg.p_hidden == 0 ||
+      cfg.embed_h == 0 || !(cfg.tmax > 0.0f)) {
     return Status::Invalid("model file '" + path +
-                           "': invalid config (input_dim, num_control and "
-                           "tmax must be positive)");
+                           "': invalid config (every dimension and tmax "
+                           "must be positive)");
+  }
+  uint64_t floats = 0, remaining = 0;
+  if (!RemainingBytes(f, &remaining)) {
+    return Status::IOError("model file '" + path +
+                           "': cannot size the parameter payload");
+  }
+  bool counted = SelNetCt::ParamFloats(cfg, &floats);
+  if (!counted || floats > remaining / 4) {
+    std::string implied = counted ? std::to_string(floats) : "over 2^64";
+    return Status::Invalid("model file '" + path +
+                           "': invalid config (its dimensions imply " +
+                           implied + " parameter floats, the payload holds " +
+                           std::to_string(remaining) + " bytes)");
   }
   // Zero-filled, no init draws: the payload overwrites every parameter (and
   // checks the count and every shape), so random weights would be waste.

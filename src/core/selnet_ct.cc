@@ -40,6 +40,25 @@ SelNetConfig SelNetConfig::FromScale(const util::ScaleConfig& scale, size_t dim,
   return cfg;
 }
 
+namespace {
+
+// The control heads of a model: [x; z_x] in, the rest from the model's
+// config.
+HeadsConfig HeadsConfigFor(const SelNetConfig& cfg) {
+  HeadsConfig hc;
+  hc.input_dim = cfg.input_dim + cfg.latent_dim;
+  hc.num_control = cfg.num_control;
+  hc.tau_hidden = cfg.tau_hidden;
+  hc.p_hidden = cfg.p_hidden;
+  hc.embed_h = cfg.embed_h;
+  hc.tmax = cfg.tmax;
+  hc.query_dependent_tau = cfg.query_dependent_tau;
+  hc.softmax_tau = cfg.softmax_tau;
+  return hc;
+}
+
+}  // namespace
+
 SelNetCt::SelNetCt(const SelNetConfig& cfg)
     : SelNetCt(cfg, /*random_init=*/true) {}
 
@@ -50,16 +69,20 @@ SelNetCt::SelNetCt(const SelNetConfig& cfg, bool random_init)
           random_init ? &rng_ : nullptr) {
   SEL_CHECK_GT(cfg.input_dim, 0u);
   SEL_CHECK_GT(cfg.tmax, 0.0f);
-  HeadsConfig hc;
-  hc.input_dim = cfg.input_dim + cfg.latent_dim;
-  hc.num_control = cfg.num_control;
-  hc.tau_hidden = cfg.tau_hidden;
-  hc.p_hidden = cfg.p_hidden;
-  hc.embed_h = cfg.embed_h;
-  hc.tmax = cfg.tmax;
-  hc.query_dependent_tau = cfg.query_dependent_tau;
-  hc.softmax_tau = cfg.softmax_tau;
-  heads_ = ControlHeads(hc, random_init ? &rng_ : nullptr);
+  heads_ = ControlHeads(HeadsConfigFor(cfg), random_init ? &rng_ : nullptr);
+}
+
+bool SelNetCt::ParamFloats(const SelNetConfig& cfg, uint64_t* floats) {
+  size_t heads_in = 0;
+  uint64_t total = 0;
+  if (__builtin_add_overflow(cfg.input_dim, cfg.latent_dim, &heads_in) ||
+      !nn::Autoencoder::AddParamFloats(cfg.input_dim, cfg.ae_hidden,
+                                       cfg.latent_dim, &total) ||
+      !ControlHeads::AddParamFloats(HeadsConfigFor(cfg), &total)) {
+    return false;
+  }
+  *floats = total;
+  return true;
 }
 
 std::vector<ag::Var> SelNetCt::Params() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -94,6 +95,11 @@ class SelNetCt : public eval::Estimator, public eval::SweepCapable,
   }
 
   std::vector<ag::Var> Params() const override;
+
+  /// \brief Floats in the parameters a model of `cfg` holds, counted without
+  /// building it (the loader bounds an untrusted config with it before
+  /// allocating); false if the count overflows 64 bits.
+  static bool ParamFloats(const SelNetConfig& cfg, uint64_t* floats);
 
   /// \brief Must be called after mutating parameter values outside the
   /// training loop (e.g. loading weights from disk) so the cached inference

@@ -1,7 +1,10 @@
 #include "data/database.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "tensor/blas.h"
+#include "tensor/kernel_dispatch.h"
 #include "util/check.h"
 
 namespace selnet::data {
@@ -51,22 +54,38 @@ tensor::Matrix Database::DenseView() const {
   return out;
 }
 
+template <typename Fn>
+void Database::ForEachLiveDistance(const float* query, Fn&& fn) const {
+  size_t n = alive_.size();
+  size_t i = 0;
+  if (metric_ == Metric::kEuclidean) {
+    // Whole 16-row blocks, dead rows included and skipped afterwards: each
+    // distance is bit for bit Distance()'s sqrt(SquaredL2(query, row)).
+    float sq[tensor::kL2BlockRows];
+    for (; i + tensor::kL2BlockRows <= n; i += tensor::kL2BlockRows) {
+      tensor::SquaredL2Block(query, vectors_.row(i), dim_, sq);
+      for (size_t r = 0; r < tensor::kL2BlockRows; ++r) {
+        if (alive_[i + r]) fn(std::sqrt(sq[r]));
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    if (alive_[i]) fn(Distance(query, vectors_.row(i), dim_, metric_));
+  }
+}
+
 size_t Database::ExactSelectivity(const float* query, float t) const {
   size_t count = 0;
-  for (size_t i = 0; i < alive_.size(); ++i) {
-    if (!alive_[i]) continue;
-    if (Distance(query, vectors_.row(i), dim_, metric_) <= t) ++count;
-  }
+  ForEachLiveDistance(query, [&](float d) {
+    if (d <= t) ++count;
+  });
   return count;
 }
 
 std::vector<float> Database::DistancesFrom(const float* query) const {
   std::vector<float> out;
   out.reserve(live_count_);
-  for (size_t i = 0; i < alive_.size(); ++i) {
-    if (!alive_[i]) continue;
-    out.push_back(Distance(query, vectors_.row(i), dim_, metric_));
-  }
+  ForEachLiveDistance(query, [&](float d) { out.push_back(d); });
   return out;
 }
 

@@ -52,6 +52,11 @@ class Database {
   std::vector<float> DistancesFrom(const float* query) const;
 
  private:
+  /// \brief fn(dist(query, o)) for each live o in id order. Euclidean scans
+  /// run 16 rows at a time on tensor::SquaredL2Block.
+  template <typename Fn>
+  void ForEachLiveDistance(const float* query, Fn&& fn) const;
+
   tensor::Matrix vectors_;
   std::vector<uint8_t> alive_;
   size_t live_count_ = 0;

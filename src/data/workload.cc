@@ -81,17 +81,32 @@ Workload GenerateWorkload(const Database& db, const WorkloadSpec& spec) {
   std::vector<QuerySample> all(spec.num_queries * spec.w);
   util::ParallelFor(0, spec.num_queries, [&](size_t q) {
     std::vector<float> dists = db.DistancesFrom(wl.queries.row(q));
-    std::sort(dists.begin(), dists.end());
+    // Only the ladder's ranks matter, and they are small: select the
+    // `top` smallest distances and sort just those instead of the whole
+    // profile. Labels equal the full sort's exactly.
+    std::vector<size_t> ranks(spec.w);
     for (size_t j = 0; j < spec.w; ++j) {
       size_t rank = static_cast<size_t>(std::llround(ladder[j]));
-      rank = std::clamp<size_t>(rank, 1, dists.size());
-      float t = dists[rank - 1];
-      // Exact label: count of distances <= t (ties make it >= rank).
-      auto ub = std::upper_bound(dists.begin(), dists.end(), t);
+      ranks[j] = std::clamp<size_t>(rank, 1, dists.size());
+    }
+    size_t top = *std::max_element(ranks.begin(), ranks.end());
+    auto head_end = dists.begin() + static_cast<std::ptrdiff_t>(top);
+    std::nth_element(dists.begin(), head_end - 1, dists.end());
+    std::sort(dists.begin(), head_end - 1);
+    for (size_t j = 0; j < spec.w; ++j) {
+      float t = dists[ranks[j] - 1];
+      // Exact label: count of distances <= t (ties make it >= rank). Past
+      // the sorted head every distance is >= its last value, so only a t
+      // equal to that value has ties out there to count.
+      size_t y = static_cast<size_t>(
+          std::upper_bound(dists.begin(), head_end, t) - dists.begin());
+      if (y == top) {
+        y += static_cast<size_t>(std::count(head_end, dists.end(), t));
+      }
       QuerySample& s = all[q * spec.w + j];
       s.query_id = static_cast<uint32_t>(q);
       s.t = t;
-      s.y = static_cast<float>(ub - dists.begin());
+      s.y = static_cast<float>(y);
     }
   });
 

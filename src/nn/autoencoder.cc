@@ -12,6 +12,13 @@ Autoencoder::Autoencoder(size_t input_dim, size_t hidden, size_t latent_dim,
                Activation::kTanh),
       decoder_({latent_dim, hidden, input_dim}, rng) {}
 
+bool Autoencoder::AddParamFloats(uint64_t input_dim, uint64_t hidden,
+                                 uint64_t latent_dim, uint64_t* total) {
+  // The encoder and decoder the constructor above builds.
+  return Mlp::AddParamFloats({input_dim, hidden, latent_dim}, total) &&
+         Mlp::AddParamFloats({latent_dim, hidden, input_dim}, total);
+}
+
 ag::Var Autoencoder::ReconstructionLoss(const ag::Var& x) const {
   ag::Var recon = Decode(Encode(x));
   return ag::MseLoss(recon, x);

@@ -41,6 +41,11 @@ class Autoencoder : public Module {
 
   std::vector<ag::Var> Params() const override;
 
+  /// \brief Add the floats an Autoencoder of these widths holds to
+  /// `*total`, without building it; false on 64-bit overflow.
+  static bool AddParamFloats(uint64_t input_dim, uint64_t hidden,
+                             uint64_t latent_dim, uint64_t* total);
+
   size_t latent_dim() const { return encoder_.out_dim(); }
   size_t input_dim() const { return encoder_.in_dim(); }
 

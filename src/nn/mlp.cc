@@ -26,6 +26,19 @@ Mlp::Mlp(const std::vector<size_t>& dims, util::Rng* rng, Activation hidden,
   }
 }
 
+bool Mlp::AddParamFloats(const std::vector<uint64_t>& dims, uint64_t* total) {
+  // One Linear(dims[i], dims[i + 1]) per layer, as the constructor builds.
+  for (size_t i = 0; i + 1 < dims.size(); ++i) {
+    uint64_t weights = 0;
+    if (__builtin_mul_overflow(dims[i], dims[i + 1], &weights) ||
+        __builtin_add_overflow(*total, weights, total) ||
+        __builtin_add_overflow(*total, dims[i + 1], total)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ag::Var Mlp::Forward(const ag::Var& x) const {
   SEL_CHECK(!layers_.empty());
   ag::Var h = x;

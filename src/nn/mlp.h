@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/linear.h"
@@ -38,6 +39,12 @@ class Mlp : public Module {
   Activation output_activation() const { return output_; }
 
   std::vector<ag::Var> Params() const override;
+
+  /// \brief Add the floats an Mlp with these layer widths holds (in * out
+  /// weights and out biases per layer) to `*total`, without building it;
+  /// false if the sum overflows 64 bits.
+  static bool AddParamFloats(const std::vector<uint64_t>& dims,
+                             uint64_t* total);
 
   size_t in_dim() const { return layers_.front().in_dim(); }
   size_t out_dim() const { return layers_.back().out_dim(); }

@@ -670,7 +670,15 @@ LiveUpdatePipeline& ShardedRegistry::AttachUpdatePipeline(
     const data::Workload& workload) {
   const std::string& route =
       cfg.model_name.empty() ? cfg_.server.model_name : cfg.model_name;
-  SelNetServer& shard = *shards_[ShardOf(route)]->server;
+  // A pipeline runs beside a local shard's server; a route whose primary is
+  // a remote slot has none here to attach to.
+  size_t slot = ShardOf(route);
+  SEL_CHECK_MSG(IsLocalSlot(slot),
+                ("ShardedRegistry: route '" + route +
+                 "' has a remote primary; update pipelines attach to local "
+                 "shards only")
+                    .c_str());
+  SelNetServer& shard = *shards_[slot]->server;
   // Each SelNetServer holds ONE pipeline slot, and its AttachUpdatePipeline
   // replaces whatever is there. Replacing the SAME route is the documented
   // re-attach semantics; silently stopping a DIFFERENT route's pipeline just

@@ -145,14 +145,48 @@ void GemmTN(const Matrix& a, const Matrix& b, float alpha, Matrix* out) {
   }
 }
 
-// C(m x n) += alpha * A(m x k) * B^T(k x n) where B is (n x k): dot products.
+// C(m x n) += alpha * A(m x k) * B^T(k x n) where B is (n x k): bit for bit
+// c[i][j] += alpha * Dot(a.row(i), b.row(j), k). B's full 16-row blocks are
+// transposed once per call into the PackScratch arena, and each 4-row block
+// of A runs against each of them through the dispatched dot-product kernel
+// (vectorized across the panel's 16 outputs, each keeping Dot's sequence;
+// see DotKernelFn). A short last A block repeats its last row and drops the
+// duplicates' outputs, as in PackedBlock. The last n mod 16 outputs of each
+// row call Dot itself.
 void GemmNT(const Matrix& a, const Matrix& b, float alpha, Matrix* out) {
   size_t m = a.rows(), k = a.cols(), n = b.rows();
-  for (size_t i = 0; i < m; ++i) {
-    const float* a_row = a.row(i);
-    float* c_row = out->row(i);
-    for (size_t j = 0; j < n; ++j) {
-      c_row[j] += alpha * Dot(a_row, b.row(j), k);
+  size_t num_panels = n / kPanelWidth;
+  float* panels =
+      PackScratch::ThreadLocal().Acquire(num_panels * k * kPanelWidth);
+  for (size_t pa = 0; pa < num_panels; ++pa) {
+    float* panel = panels + pa * k * kPanelWidth;
+    for (size_t j = 0; j < kPanelWidth; ++j) {
+      const float* b_row = b.row(pa * kPanelWidth + j);
+      for (size_t p = 0; p < k; ++p) panel[p * kPanelWidth + j] = b_row[p];
+    }
+  }
+  const DotKernelFn kernel = ActiveKernel().dot;
+  for (size_t i = 0; i < m; i += kMicroRows) {
+    size_t rows = std::min(kMicroRows, m - i);
+    const float* a_rows[kMicroRows];
+    for (size_t r = 0; r < kMicroRows; ++r) {
+      a_rows[r] = a.row(i + std::min(r, rows - 1));
+    }
+    for (size_t pa = 0; pa < num_panels; ++pa) {
+      float acc[kMicroRows * kPanelWidth];
+      kernel(a_rows[0], a_rows[1], a_rows[2], a_rows[3], k, alpha,
+             panels + pa * k * kPanelWidth, acc);
+      for (size_t r = 0; r < rows; ++r) {
+        float* c = out->row(i + r) + pa * kPanelWidth;
+        const float* acc_r = acc + r * kPanelWidth;
+        for (size_t j = 0; j < kPanelWidth; ++j) c[j] += acc_r[j];
+      }
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      float* c_row = out->row(i + r);
+      for (size_t j = num_panels * kPanelWidth; j < n; ++j) {
+        c_row[j] += alpha * Dot(a_rows[r], b.row(j), k);
+      }
     }
   }
 }
@@ -225,6 +259,12 @@ float SquaredL2(const float* a, const float* b, size_t n) {
     s0 += d * d;
   }
   return s0 + s1;
+}
+
+void SquaredL2Block(const float* query, const float* rows, size_t dim,
+                    float* out) {
+  SEL_CHECK_LE(dim, kL2BlockMaxDim);
+  ActiveKernel().l2_block(query, rows, dim, out);
 }
 
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,

@@ -4,7 +4,8 @@
 #include "tensor/pack_cache.h"
 
 /// \file blas.h
-/// \brief Hot numeric kernels over Matrix: GEMM variants, axpy, reductions.
+/// \brief Hot numeric kernels over Matrix: GEMM variants, axpy, reductions,
+/// and the exact scans' squared-L2 block.
 ///
 /// These are the only loops that matter for training and serving throughput.
 /// Every multi-row NN product runs on one 4x16 packed micro-kernel,
@@ -17,12 +18,25 @@
 /// of 4 ends in one padded 4-row block. Below those thresholds a saxpy loop
 /// streams B once per row.
 ///
+/// The NT product (Gemm with trans_b, the dX product of every ag::MatMul
+/// backward) transposes B's 16-row blocks into the scratch arena and runs a
+/// dispatched 4x16 kernel that computes 16 outputs of `alpha * Dot(a_i, b_j)`
+/// at once, each in Dot's own operation sequence, so its result is bit for
+/// bit that of one Dot per output. The TN product (dW) is a saxpy loop.
+/// SquaredL2Block does the same for the exact scans: SquaredL2 of a query
+/// against 16 consecutive rows, vectorized across the rows.
+///
 /// Bit-identity: with beta == 0, every GemmNN path — any batch size, any
 /// dispatched ISA, any core count — keeps one per-element accumulation order
 /// (ascending k, two separately rounded ops per term), so results are
 /// bit-identical across kernels. Batched serving returns exactly what a
 /// single-row Predict would; see kernel_dispatch.h for how the SIMD variants
-/// uphold this.
+/// uphold this. This translation unit and the kernel TUs are built with
+/// -ffp-contract=off, so these bits do not depend on the build's -march; the
+/// code around them (autograd ops, distance.cc's cosine loop, the optimizer)
+/// is contracted to FMA in -march=native builds, so whole-model results are
+/// bit-identical only between binaries built with the same flags (see
+/// kernel_dispatch.h).
 
 namespace selnet::tensor {
 
@@ -96,5 +110,13 @@ float Dot(const float* a, const float* b, size_t n);
 
 /// \brief Squared Euclidean distance between two float spans.
 float SquaredL2(const float* a, const float* b, size_t n);
+
+/// \brief out[r] = SquaredL2(query, rows + r * dim, dim), bit for bit, for
+/// the kL2BlockRows consecutive rows of a row-major matrix starting at
+/// `rows` (dim <= kL2BlockMaxDim). Vectorized across the rows through the
+/// dispatched kernel set (kernel_dispatch.h); the exact scans of
+/// data::Database run on it.
+void SquaredL2Block(const float* query, const float* rows, size_t dim,
+                    float* out);
 
 }  // namespace selnet::tensor

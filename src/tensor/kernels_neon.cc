@@ -40,7 +40,9 @@ void MicroKernelNeon(const float* a0, const float* a1, const float* a2,
   }
 }
 
-constexpr KernelInfo kNeonKernel{"neon", MicroKernelNeon};
+// The training kernels have no NEON version yet: the portable ones.
+constexpr KernelInfo kNeonKernel{"neon", MicroKernelNeon,
+                                 DotKernelPortable, L2BlockPortable};
 
 }  // namespace
 

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/database.h"
 #include "data/distance.h"
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "tensor/kernel_dispatch.h"
 
 namespace selnet::data {
 namespace {
@@ -186,6 +190,50 @@ TEST(DatabaseTest, DenseViewSkipsDeleted) {
   EXPECT_FLOAT_EQ(dense(1, 0), 30.0f);
 }
 
+// The Euclidean scans run 16 rows at a time on the dispatched squared-L2
+// block. On every kernel set they must return, bit for bit, what a per-row
+// Distance() scan returns: 53 rows (three whole blocks and a 5-row tail), an
+// odd and an even width, deleted rows inside blocks and in the tail.
+TEST(DatabaseTest, BlockedScansMatchPerRowDistanceOnEveryKernel) {
+  for (size_t dim : {7, 32}) {
+    SyntheticSpec spec;
+    spec.n = 53;
+    spec.dim = dim;
+    spec.seed = dim;
+    Database db(GenerateMixture(spec), Metric::kEuclidean);
+    for (size_t id : {0, 15, 16, 31, 50}) db.Delete(id);
+    std::vector<float> q(db.vector(3), db.vector(3) + dim);
+    q[0] += 0.25f;  // Not a corpus point: no exact zero distance.
+    std::vector<float> ref;
+    for (size_t id = 0; id < db.capacity(); ++id) {
+      if (db.alive(id)) {
+        ref.push_back(Distance(q.data(), db.vector(id), dim, db.metric()));
+      }
+    }
+    ASSERT_EQ(ref.size(), 48u);
+    const std::string prev = tensor::ActiveKernel().name;
+    for (const tensor::KernelInfo& kern : tensor::AvailableKernels()) {
+      ASSERT_TRUE(tensor::SetActiveKernel(kern.name));
+      std::vector<float> got = db.DistancesFrom(q.data());
+      ASSERT_EQ(got.size(), ref.size()) << kern.name;
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)),
+                0)
+          << kern.name << " dim " << dim;
+      // Thresholds on exact distances make `<=` decide at the boundary.
+      for (size_t i : {0, 7, 20, 47}) {
+        float t = ref[i];
+        size_t want = static_cast<size_t>(
+            std::count_if(ref.begin(), ref.end(), [&](float d) {
+              return d <= t;
+            }));
+        EXPECT_EQ(db.ExactSelectivity(q.data(), t), want)
+            << kern.name << " dim " << dim << " t " << t;
+      }
+    }
+    tensor::SetActiveKernel(prev);
+  }
+}
+
 class WorkloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -294,6 +342,72 @@ TEST_F(WorkloadTest, MaterializeBatchRoundTrip) {
     EXPECT_FLOAT_EQ(b.y(i, 0), s.y);
     for (size_t c = 0; c < 6; ++c) {
       EXPECT_FLOAT_EQ(b.x(i, c), wl_.queries(s.query_id, c));
+    }
+  }
+}
+
+// GenerateWorkload labels by selection; they must equal the full sort +
+// upper_bound reference. Every corpus vector appears three times, so each
+// threshold has ties (rank 1 is the query itself: label 3). With a ladder
+// top of 2n the ranks clamp to 1 at the bottom and to n at the top; with a
+// top rank of 61 (0.51 n) the top threshold's three copies straddle the
+// selected head, whose ties past it must be counted too.
+TEST(WorkloadLabelsTest, SelectionLabelsMatchSortReference) {
+  SyntheticSpec spec;
+  spec.n = 40;
+  spec.dim = 5;
+  Matrix base = GenerateMixture(spec);
+  Matrix tripled(3 * spec.n, spec.dim);
+  for (size_t i = 0; i < tripled.rows(); ++i) {
+    std::copy(base.row(i % spec.n), base.row(i % spec.n) + spec.dim,
+              tripled.row(i));
+  }
+  Database db(std::move(tripled), Metric::kEuclidean);
+  const size_t n = db.size();
+  for (double top_fraction : {2.0, 0.51}) {
+    WorkloadSpec wspec;
+    wspec.num_queries = 12;
+    wspec.w = 7;
+    wspec.max_sel_fraction = top_fraction;
+    Workload wl = GenerateWorkload(db, wspec);
+    ASSERT_EQ(wl.train.size() + wl.valid.size() + wl.test.size(),
+              wspec.num_queries * wspec.w);
+
+    // The geometric ladder GenerateWorkload targets: rank_j =
+    // round(max_sel ^ (j / (w - 1))), clamped to [1, n].
+    double log_max = std::log(static_cast<double>(n) * top_fraction);
+    size_t clamped_low = 0, clamped_high = 0, straddled = 0;
+    for (const auto* split : {&wl.train, &wl.valid, &wl.test}) {
+      // Splitting keeps each query's samples in ladder order.
+      std::map<uint32_t, size_t> next_j;
+      for (const QuerySample& s : *split) {
+        size_t j = next_j[s.query_id]++;
+        std::vector<float> d = db.DistancesFrom(wl.queries.row(s.query_id));
+        std::sort(d.begin(), d.end());
+        size_t rank = static_cast<size_t>(std::llround(
+            std::exp(log_max * double(j) / double(wspec.w - 1))));
+        rank = std::clamp<size_t>(rank, 1, n);
+        EXPECT_EQ(s.t, d[rank - 1]) << "query " << s.query_id << " j " << j;
+        auto ub = std::upper_bound(d.begin(), d.end(), s.t);
+        EXPECT_EQ(s.y, static_cast<float>(ub - d.begin()))
+            << "query " << s.query_id << " j " << j;
+        if (rank == 1) {
+          ++clamped_low;
+          EXPECT_EQ(s.y, 3.0f);  // The query and its two copies.
+        }
+        if (rank == n) {
+          ++clamped_high;
+          EXPECT_EQ(s.y, static_cast<float>(n));
+        }
+        if (j == wspec.w - 1 && s.y > static_cast<float>(rank)) ++straddled;
+      }
+    }
+    EXPECT_EQ(clamped_low, wspec.num_queries);
+    if (top_fraction > 1.0) {
+      EXPECT_EQ(clamped_high, wspec.num_queries);
+    } else {
+      EXPECT_EQ(clamped_high, 0u);
+      EXPECT_GT(straddled, 0u);
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "serve/shard_node.h"
 #include "serve/shard_router.h"
 #include "serve/state_transfer.h"
+#include "serve/update_pipeline.h"
 #include "serve/wire.h"
 #include "serve/wire_binary.h"
 #include "util/backoff.h"
@@ -583,6 +584,22 @@ TEST_F(FleetTest, LocalOnlyRouteWithRemotePrimaryFailsOverToLocalReplica) {
   // A replica that answered (promptly) that it lacks the route is healthy —
   // not_found must not tear down its data connection.
   EXPECT_EQ(reg.slot_health(1), ShardHealth::kHealthy);
+}
+
+// A pipeline attaches to a local shard's server. For a route whose ring
+// primary is the remote slot there is none: the attach must abort naming
+// the route, not index past the local shards.
+TEST_F(FleetTest, AttachUpdatePipelineOnRemotePrimaryRouteDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardNode node(NodeConfig());
+  ASSERT_TRUE(node.status().ok());
+  ShardedRegistry reg(FleetConfig(node.port()));
+  std::string route = RouteOwnedBy(reg, 1);
+  ASSERT_FALSE(route.empty());
+  UpdatePipelineConfig ucfg;
+  ucfg.model_name = route;
+  EXPECT_DEATH({ reg.AttachUpdatePipeline(ucfg, *db_, *wl_); },
+               "route '" + route + "' has a remote primary");
 }
 
 TEST_F(FleetTest, HealthStateMachineAdmitsLateStartingNode) {

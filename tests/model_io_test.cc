@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "core/model_io.h"
@@ -118,6 +119,64 @@ TEST_F(ModelIoFixture, InvalidConfigRejectedNotAborted) {
   EXPECT_NE(loaded.status().message().find("invalid config"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+// A config whose dimensions imply more parameters than the payload can
+// hold is a typed rejection before anything is allocated: a hostile header
+// must not make the loader zero-fill terabytes. The config's fields follow
+// magic + version (8 bytes) as u64s: input_dim at 8, p_hidden at 48.
+TEST_F(ModelIoFixture, HugeConfigDimensionsRejectedBeforeAllocation) {
+  SelNetCt model(cfg_);
+  auto bytes = SaveModelBytes(model);
+  ASSERT_TRUE(bytes.ok());
+  struct Case {
+    const char* field;
+    size_t offset;
+    uint64_t value;
+  };
+  const Case cases[] = {{"input_dim", 8, uint64_t{1} << 40},
+                        {"p_hidden", 48, uint64_t{1} << 31}};
+  for (const Case& c : cases) {
+    std::string hostile = bytes.ValueOrDie();
+    std::memcpy(&hostile[c.offset], &c.value, sizeof(c.value));
+    struct rusage before {};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    auto loaded = LoadModelBytes(hostile, "hostile buffer");
+    struct rusage after {};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+    ASSERT_FALSE(loaded.ok()) << c.field;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << c.field << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("invalid config"),
+              std::string::npos)
+        << loaded.status().ToString();
+    // ru_maxrss is in KiB on Linux.
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 16 * 1024) << c.field;
+  }
+}
+
+// The loader's bound counts the architecture without building it; it must
+// equal what the constructor builds, or the bound drifts from the model.
+TEST_F(ModelIoFixture, ParamFloatsMatchesBuiltModel) {
+  SelNetConfig wide = cfg_;
+  wide.input_dim = 129;
+  wide.latent_dim = 7;
+  wide.num_control = 1;
+  wide.embed_h = 33;
+  SelNetConfig defaults;
+  defaults.input_dim = 24;
+  for (const SelNetConfig& cfg : {cfg_, wide, defaults}) {
+    SelNetCt model(cfg);
+    uint64_t built = 0;
+    for (const ag::Var& p : model.Params()) built += p->value.size();
+    uint64_t counted = 0;
+    ASSERT_TRUE(SelNetCt::ParamFloats(cfg, &counted)) << cfg.input_dim;
+    EXPECT_EQ(counted, built) << cfg.input_dim;
+  }
+  SelNetConfig overflow = cfg_;
+  overflow.p_hidden = uint64_t{1} << 33;
+  uint64_t counted = 0;
+  EXPECT_FALSE(SelNetCt::ParamFloats(overflow, &counted));
 }
 
 TEST_F(ModelIoFixture, TruncatedFileRejected) {

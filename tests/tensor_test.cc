@@ -292,6 +292,63 @@ TEST(KernelDispatchTest, AlphaFlowsThroughEveryKernel) {
   }
 }
 
+// The backward dX product: Gemm(a, false, b, true) is, bit for bit, one
+// `c += alpha * Dot(a_i, b_j, k)` per output after the beta step, on every
+// kernel set — across full 16-output panels, the n mod 16 tail that calls
+// Dot, every k mod 4 tail of Dot's four chains and a short last A block.
+TEST(KernelDispatchTest, GemmNTMatchesDotPerOutputOnEveryKernel) {
+  for (size_t m : {1, 3, 256}) {
+    for (size_t n : {32, 33, 15}) {
+      for (size_t k : {12, 13, 14, 15}) {
+        for (bool sparse : {false, true}) {
+          util::Rng rng(m * 7919 + n * 131 + k * 17 + (sparse ? 1 : 0));
+          Matrix a = Matrix::Gaussian(m, k, &rng);
+          if (sparse) a = ReluSparse(std::move(a));
+          Matrix b = Matrix::Gaussian(n, k, &rng);
+          Matrix c0 = Matrix::Gaussian(m, n, &rng);
+          for (float alpha : {1.0f, -0.5f}) {
+            for (float beta : {0.0f, 1.0f}) {
+              Matrix ref = c0;
+              for (size_t i = 0; i < m; ++i) {
+                for (size_t j = 0; j < n; ++j) {
+                  float c = beta == 0.0f ? 0.0f : ref(i, j);
+                  ref(i, j) = c + alpha * Dot(a.row(i), b.row(j), k);
+                }
+              }
+              for (const KernelInfo& kern : AvailableKernels()) {
+                KernelGuard guard(kern.name);
+                Matrix out = c0;
+                Gemm(a, false, b, true, alpha, beta, &out);
+                ExpectBitIdentical(ref, out, kern.name);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The exact scans' block: every kernel set returns SquaredL2 per row, bit
+// for bit, for odd widths, widths below, at and past a 16-column tile.
+TEST(KernelDispatchTest, SquaredL2BlockMatchesPerRowOnEveryKernel) {
+  for (size_t dim : {1, 2, 7, 16, 17, 33, 128}) {
+    util::Rng rng(dim);
+    Matrix rows = Matrix::Gaussian(kL2BlockRows, dim, &rng);
+    Matrix query = Matrix::Gaussian(1, dim, &rng);
+    for (const KernelInfo& kern : AvailableKernels()) {
+      KernelGuard guard(kern.name);
+      float out[kL2BlockRows];
+      SquaredL2Block(query.data(), rows.data(), dim, out);
+      for (size_t r = 0; r < kL2BlockRows; ++r) {
+        float ref = SquaredL2(query.data(), rows.row(r), dim);
+        EXPECT_EQ(std::memcmp(&ref, &out[r], sizeof(float)), 0)
+            << kern.name << " dim " << dim << " row " << r;
+      }
+    }
+  }
+}
+
 TEST(PackCacheTest, BuildsOncePerGenerationAndInvalidates) {
   util::Rng rng(3);
   Matrix b = Matrix::Gaussian(24, 33, &rng);
