@@ -639,11 +639,15 @@ Report RunDrift(const ScenarioContext& ctx) {
       wl, ctx.capacity_requests(), 2, 32);
   probe.Drain();
 
-  serve::ServerConfig scfg = BaseServerConfig(db.dim());
-  scfg.admission.enabled = true;
-  scfg.admission.max_inflight = InflightForCapacity(capacity, 0.25);
-  serve::SelNetServer server(scfg);
-  server.Publish(ctx.model);
+  // Pipelines attach at the router: serve from a one-shard registry's server.
+  serve::ShardedConfig rcfg;
+  rcfg.server = BaseServerConfig(db.dim());
+  rcfg.server.admission.enabled = true;
+  rcfg.server.admission.max_inflight = InflightForCapacity(capacity, 0.25);
+  rcfg.num_shards = 1;
+  serve::ShardedRegistry router(rcfg);
+  serve::SelNetServer& server = router.shard(0);
+  router.Publish(ctx.model);
   RequestSink submit = [&server](serve::EstimateRequest req,
                               serve::SelNetServer::ResponseFn done) {
     server.SubmitWith(std::move(req), std::move(done));
@@ -656,7 +660,7 @@ Report RunDrift(const ScenarioContext& ctx) {
   ucfg.policy.max_epochs = 2;
   ucfg.policy.patience = 1;
   serve::LiveUpdatePipeline& pipeline =
-      server.AttachUpdatePipeline(ucfg, db, wl);
+      router.AttachUpdatePipeline(ucfg, db, wl);
   std::vector<uint32_t> valid_qids;
   for (const auto& s : wl.valid) valid_qids.push_back(s.query_id);
   std::atomic<bool> feeding{true};
@@ -687,7 +691,7 @@ Report RunDrift(const ScenarioContext& ctx) {
   feeding.store(false);
   feeder.join();
   serve::UpdatePipelineState pstate = pipeline.Snapshot();
-  server.DetachUpdatePipeline();
+  pipeline.Stop();
   server.Drain();
   serve::StatsSnapshot snap = server.stats().Snapshot();
 

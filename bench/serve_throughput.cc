@@ -16,7 +16,8 @@
 ///
 /// Part 3 — pack-cache workload: repeated batched Predict on a fixed model,
 ///   warm (version-keyed packs + fold cached) vs cold (repack per call /
-///   publish boundary per batch), plus per-dispatched-kernel rows/s.
+///   publish boundary per batch), interleaved over 7 repeats with the
+///   median gated, plus per-dispatched-kernel rows/s.
 ///
 /// Part 4 — live-update pipeline: the same batched scalar stream measured
 ///   idle vs while the pipeline continuously retrains + republishes in the
@@ -65,6 +66,7 @@
 /// machine-readable JSON object — the CI bench-gate job archives it as the
 /// perf trajectory (BENCH_serve.json is the committed baseline).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -387,11 +389,28 @@ int main(int argc, char** argv) {
     return double(kPackIters * kPackBatch) / watch.ElapsedSeconds();
   };
 
-  double warm_rows = time_predicts(false);
-  tensor::SetPackCacheEnabled(false);
-  double repack_rows = time_predicts(false);
-  tensor::SetPackCacheEnabled(true);
-  double cold_rows = time_predicts(true);
+  // Timed once each, in sequence, the three configs let host noise (CPU
+  // steal on a shared box) land on one of them and fail the gate on an
+  // unchanged engine. So each repeat times all three back to back, and the
+  // rows/s and the gated ratios are medians over the repeats.
+  const size_t kPackReps = 7;
+  std::vector<double> warm_v, repack_v, cold_v, pack_only_v, pack_speedup_v;
+  for (size_t rep = 0; rep < kPackReps; ++rep) {
+    warm_v.push_back(time_predicts(false));
+    tensor::SetPackCacheEnabled(false);
+    repack_v.push_back(time_predicts(false));
+    tensor::SetPackCacheEnabled(true);
+    cold_v.push_back(time_predicts(true));
+    pack_only_v.push_back(warm_v.back() / repack_v.back());
+    pack_speedup_v.push_back(warm_v.back() / cold_v.back());
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  double warm_rows = median(warm_v);
+  double repack_rows = median(repack_v);
+  double cold_rows = median(cold_v);
 
   util::AsciiTable pack_table({"config", "kernel", "rows/s"});
   std::string default_kernel = tensor::ActiveKernel().name;
@@ -412,14 +431,16 @@ int main(int argc, char** argv) {
   tensor::SetActiveKernel(default_kernel);
   pack_table.Print("pack_cache");
 
-  double pack_only = repack_rows > 0 ? warm_rows / repack_rows : 0.0;
-  double pack_speedup = cold_rows > 0 ? warm_rows / cold_rows : 0.0;
-  std::printf("\nwarm vs repack-per-call (pack cache alone): %.2fx\n",
-              pack_only);
+  double pack_only = median(pack_only_v);
+  double pack_speedup = median(pack_speedup_v);
   std::printf(
-      "warm-pack vs cold-pack batched Predict (B=%zu): %.2fx "
-      "(acceptance: >= 1.3x) %s\n",
-      kPackBatch, pack_speedup, pack_speedup >= 1.3 ? "OK" : "BELOW TARGET");
+      "\nwarm vs repack-per-call (pack cache alone): %.2fx (median of %zu)\n",
+      pack_only, kPackReps);
+  std::printf(
+      "warm-pack vs cold-pack batched Predict (B=%zu): %.2fx, median of %zu "
+      "interleaved repeats (acceptance: >= 1.3x) %s\n",
+      kPackBatch, pack_speedup, kPackReps,
+      pack_speedup >= 1.3 ? "OK" : "BELOW TARGET");
   tensor::PackStatsSnapshot pack_stats = tensor::PackStats();
   std::printf("pack cache: %llu hits, %llu builds, %llu invalidations\n",
               (unsigned long long)pack_stats.hits,
@@ -431,17 +452,23 @@ int main(int argc, char** argv) {
   // while the update pipeline continuously patches labels, retrains the
   // shadow model and republishes. The pipeline thread runs at background
   // nice, so serve-path tail latency should survive even on few cores.
+  // Pipelines attach at the router: the server is a one-shard registry's.
   bench::PrintBanner("Live updates: serve QPS/p99, idle vs during retrain");
-  auto live_server = make_server(/*batching=*/true);
-  RunResult idle =
-      DriveLoad(live_server.get(), wl, kRequests, kClients, kPipeline);
+  serve::ShardedConfig live_cfg;
+  live_cfg.server.dim = db.dim();
+  live_cfg.server.scheduler.max_batch = 128;
+  live_cfg.num_shards = 1;
+  serve::ShardedRegistry live_router(live_cfg);
+  live_router.Publish(model);
+  serve::SelNetServer* live_server = &live_router.shard(0);
+  RunResult idle = DriveLoad(live_server, wl, kRequests, kClients, kPipeline);
 
   serve::UpdatePipelineConfig ucfg;
   ucfg.policy.mae_drift_fraction = 0.0;  // Every upward drift retrains.
   ucfg.policy.max_epochs = 4;
   ucfg.policy.patience = 2;
   serve::LiveUpdatePipeline& pipeline =
-      live_server->AttachUpdatePipeline(ucfg, db, wl);
+      live_router.AttachUpdatePipeline(ucfg, db, wl);
 
   // Pick validation-split queries: duplicating them inflates validation
   // labels, so every op drifts MAE upward and trips a retrain.
@@ -467,12 +494,11 @@ int main(int argc, char** argv) {
          pipeline.Snapshot().ops_applied < 50) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  RunResult busy =
-      DriveLoad(live_server.get(), wl, kRequests, kClients, kPipeline);
+  RunResult busy = DriveLoad(live_server, wl, kRequests, kClients, kPipeline);
   feeding.store(false);
   feeder.join();
   serve::UpdatePipelineState pstate = pipeline.Snapshot();
-  live_server->DetachUpdatePipeline();
+  pipeline.Stop();
 
   util::AsciiTable live_table({"config", "QPS", "p50 ms", "p99 ms"});
   auto add_live = [&](const char* name, const RunResult& r) {

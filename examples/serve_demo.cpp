@@ -331,12 +331,16 @@ int main(int argc, char** argv) {
   std::printf("offline: trained %s (%zu params), wrote %s\n",
               trained.Name().c_str(), trained.NumParams(), model_path.c_str());
 
-  // 2. Online: bring up the server and publish the file.
-  serve::ServerConfig scfg;
-  scfg.dim = db.dim();
-  scfg.scheduler.max_batch = 64;
-  scfg.enable_curve_cache = true;
-  serve::SelNetServer server(scfg);
+  // 2. Online: bring up the server and publish the file. The server is a
+  //    one-shard router's, because the router is where the live-update
+  //    pipeline of step 4 attaches.
+  serve::ShardedConfig rcfg;
+  rcfg.server.dim = db.dim();
+  rcfg.server.scheduler.max_batch = 64;
+  rcfg.server.enable_curve_cache = true;
+  rcfg.num_shards = 1;
+  serve::ShardedRegistry router(rcfg);
+  serve::SelNetServer& server = router.shard(0);
   auto version = server.PublishFromFile(model_path);
   if (!version.ok()) {
     std::printf("publish failed: %s\n", version.status().ToString().c_str());
@@ -402,7 +406,7 @@ int main(int argc, char** argv) {
   // tail-latency choice there (see bench/serve_throughput part 4).
   ucfg.background_idle_sched = false;
   serve::LiveUpdatePipeline& pipeline =
-      server.AttachUpdatePipeline(ucfg, db, wl);
+      router.AttachUpdatePipeline(ucfg, db, wl);
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> ok_count{0}, fail_count{0};

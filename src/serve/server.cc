@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/pwl.h"
-#include "serve/update_pipeline.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -105,9 +104,6 @@ SelNetServer::SelNetServer(const ServerConfig& cfg)
 }
 
 SelNetServer::~SelNetServer() {
-  // Stop the update pipeline first: its worker publishes into the registry
-  // and records stats, both of which must still be alive while it drains.
-  pipeline_.reset();
   if (scheduler_) scheduler_->Shutdown();
   // Fast-path sweep jobs reference this object; wait for this server's own
   // jobs (not the whole pool — it is typically shared).
@@ -144,16 +140,6 @@ Result<uint64_t> SelNetServer::PublishFromBytes(const std::string& name,
   if (version.ok()) stats_.RecordSwap();
   return version;
 }
-
-LiveUpdatePipeline& SelNetServer::AttachUpdatePipeline(
-    const UpdatePipelineConfig& cfg, const data::Database& db,
-    const data::Workload& workload) {
-  pipeline_.reset();  // Stop a previous pipeline before starting the next.
-  pipeline_ = std::make_unique<LiveUpdatePipeline>(this, cfg, db, workload);
-  return *pipeline_;
-}
-
-void SelNetServer::DetachUpdatePipeline() { pipeline_.reset(); }
 
 tensor::Matrix SelNetServer::PredictOnHandle(const ModelHandle& handle,
                                              const tensor::Matrix& x,

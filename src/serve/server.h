@@ -67,9 +67,6 @@
 
 namespace selnet::serve {
 
-class LiveUpdatePipeline;
-struct UpdatePipelineConfig;
-
 /// \brief Serving configuration.
 struct ServerConfig {
   size_t dim = 0;  ///< Query dimensionality (required; the single source of
@@ -181,24 +178,6 @@ class SelNetServer {
   /// \brief Block until every accepted request has been answered.
   void Drain();
 
-  /// \brief Attach a live-update pipeline to `cfg.model_name` (empty = the
-  /// default route): a background thread that ingests UpdateOp batches,
-  /// applies them to a shadow copy of `db` + `workload`, retrains a clone of
-  /// the served model when validation-MAE drift trips, and republishes
-  /// through the registry — serving never blocks. The route must already be
-  /// published with a model implementing core::IncrementalModel. Replaces
-  /// (stopping) any previously attached pipeline. The server owns the
-  /// pipeline; the reference stays valid until Detach or destruction.
-  LiveUpdatePipeline& AttachUpdatePipeline(const UpdatePipelineConfig& cfg,
-                                           const data::Database& db,
-                                           const data::Workload& workload);
-
-  /// \brief Stop and destroy the attached pipeline (no-op when absent).
-  void DetachUpdatePipeline();
-
-  /// \brief The attached pipeline, or null.
-  LiveUpdatePipeline* update_pipeline() { return pipeline_.get(); }
-
   ModelRegistry& registry() { return registry_; }
   EstimateCache& cache() { return cache_; }
   ServeStats& stats() { return stats_; }
@@ -256,9 +235,6 @@ class SelNetServer {
   ServeStats stats_;
   std::unique_ptr<AdmissionController> admission_;  ///< Null = admission off.
   std::unique_ptr<BatchScheduler> scheduler_;  ///< Null when batching is off.
-  /// Destroyed before the scheduler: the pipeline's final republish must not
-  /// outlive the serving machinery it publishes into.
-  std::unique_ptr<LiveUpdatePipeline> pipeline_;
   util::ThreadPool* pool_;  ///< Fast-path sweep execution (batching on).
 
   /// Fast-path jobs in flight on the (possibly shared) pool. Drain and the

@@ -1,7 +1,7 @@
 #include "serve/shard_router.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <atomic>
 #include <exception>
 #include <iterator>
 #include <thread>
@@ -12,9 +12,11 @@
 #include "serve/admission.h"
 #include "serve/update_pipeline.h"
 #include "serve/wire.h"
+#include "util/backoff.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace selnet::serve {
 
@@ -101,49 +103,349 @@ const char* ShardHealthName(ShardHealth h) {
   return "unknown";
 }
 
+namespace {
+
+/// How a failed attempt steers the failover chain.
+enum class RetryClass {
+  kFinal,        ///< Deterministic verdict (bad shape, overload shed).
+  kNextReplica,  ///< Another replica might answer; this one is healthy.
+  kMarkSuspect,  ///< Another replica might answer; this one looks down/gray.
+};
+
+/// A failed attempt's stable token (the failover attempt counter's label)
+/// and its retry class. Typed RemoteErrors only: kUnavailable (never sent) /
+/// kIoError (possibly completed — estimates are pure reads, so re-asking is
+/// safe) / kDeadlineExceeded (the RECV bound, a gray shard; the request's
+/// own deadline is checked separately) mark the replica suspect and move on.
+/// kNotFound means THAT replica doesn't hold the route — a rejoining shard
+/// awaiting re-sync, or a route that replicates to local slots only — while
+/// another replica may; the replica itself answered promptly, so it stays
+/// healthy (marking it suspect would tear down its data connection on every
+/// request to such a route). Anything else is deterministic or final.
+struct Failure {
+  const char* reason;
+  RetryClass retry;
+};
+
+Failure Classify(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const RemoteError& e) {
+    switch (e.code()) {
+      case util::StatusCode::kUnavailable:
+        return {"unavailable", RetryClass::kMarkSuspect};
+      case util::StatusCode::kIoError:
+        return {"io_error", RetryClass::kMarkSuspect};
+      case util::StatusCode::kDeadlineExceeded:
+        return {"recv_timeout", RetryClass::kMarkSuspect};
+      case util::StatusCode::kNotFound:
+        return {"not_found", RetryClass::kNextReplica};
+      default:
+        return {"internal", RetryClass::kFinal};
+    }
+  } catch (const OverloadError&) {
+    return {"overload", RetryClass::kFinal};
+  } catch (...) {
+    return {"other", RetryClass::kFinal};
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------- Replicas ---
+
+/// One ring slot; the router drives every slot through this interface
+/// alone. The defaults describe a replica that is always healthy: no
+/// failover state to keep, nothing to probe or scrape.
+class ShardedRegistry::Replica {
+ public:
+  Replica(ShardedRegistry* owner, size_t slot) : owner_(owner), slot_(slot) {}
+  virtual ~Replica() = default;
+
+  /// Label in metrics and events: "shard-<slot>" or the remote endpoint.
+  virtual std::string name() const = 0;
+  virtual void SubmitWith(EstimateRequest req,
+                          SelNetServer::ResponseFn done) = 0;
+  /// Install `model`, or `bytes` when `model` is null; `frames` counts the
+  /// state-transfer frames shipped. Version 0 = skipped: the replica takes
+  /// bytes only, and the model made none.
+  virtual Result<uint64_t> Publish(
+      const std::string& route, const std::shared_ptr<eval::Estimator>& model,
+      const std::string& bytes, const std::string& origin,
+      uint64_t* frames) = 0;
+  /// The slot's fleet-table row; appends to `merge` (if non-null) the stats
+  /// that belong in the fleet totals.
+  virtual SlotSnapshot Describe(Clock::time_point now,
+                                std::vector<StatsSnapshot>* merge) const = 0;
+  /// Wait until all it accepted has answered; waits on another process end
+  /// at `deadline`.
+  virtual void Drain(Clock::time_point deadline) = 0;
+  virtual SelNetServer* server() { return nullptr; }  ///< In-process only.
+
+  virtual ShardHealth health() const { return ShardHealth::kHealthy; }
+  /// True when the router must count and judge this replica's failures, so
+  /// even a single-replica route takes the failover chain.
+  virtual bool supervised() const { return false; }
+  virtual void MarkSuspect() {}          ///< A data-path failure was seen.
+  virtual void Heal(bool /*forced*/) {}  ///< Health-loop probe + re-admit.
+  virtual void Scrape() {}               ///< Cache stats for the fleet view.
+  virtual void CloseData() {}  ///< Fail completions awaiting another process.
+  virtual Clock::time_point state_since() const { return owner_->start_; }
+
+ protected:
+  ShardedRegistry* const owner_;
+  const size_t slot_;
+};
+
+/// A pool slice and the SelNetServer running on it. Always healthy.
+class ShardedRegistry::LocalReplica final : public Replica {
+ public:
+  LocalReplica(ShardedRegistry* owner, size_t slot, size_t threads)
+      : Replica(owner, slot), pool_(threads), server_([&] {
+          ServerConfig cfg = owner->cfg_.server;
+          cfg.scheduler.pool = &pool_;
+          return cfg;
+        }()) {}
+
+  std::string name() const override { return "shard-" + std::to_string(slot_); }
+  void SubmitWith(EstimateRequest req,
+                  SelNetServer::ResponseFn done) override {
+    server_.SubmitWith(std::move(req), std::move(done));
+  }
+  Result<uint64_t> Publish(const std::string& route,
+                           const std::shared_ptr<eval::Estimator>& model,
+                           const std::string& bytes, const std::string& origin,
+                           uint64_t* /*frames*/) override {
+    if (model != nullptr) return server_.Publish(route, model);
+    return server_.PublishFromBytes(route, bytes, origin);
+  }
+  SlotSnapshot Describe(Clock::time_point now,
+                        std::vector<StatsSnapshot>* merge) const override {
+    if (merge != nullptr) merge->push_back(server_.stats().Snapshot());
+    SlotSnapshot row;
+    row.slot = slot_;
+    row.kind = "local";
+    row.endpoint = "in-process";
+    row.health = ShardHealthName(ShardHealth::kHealthy);
+    row.node_id = owner_->cfg_.node_id;
+    row.uptime_s = std::chrono::duration<double>(now - owner_->start_).count();
+    return row;
+  }
+  void Drain(Clock::time_point) override { server_.Drain(); }
+  SelNetServer* server() override { return &server_; }
+
+ private:
+  util::ThreadPool pool_;  ///< Outlives the server, which drains onto it.
+  mutable SelNetServer server_;
+};
+
+/// A RemoteShard proxy plus its failover state. `health_` is the
+/// cross-thread hot field; backoff and not_before belong to the health loop;
+/// the scrape cache and the state clock live under `mu_` (read by snapshot
+/// and metrics scrapers, written by the health loop and transitions).
+class ShardedRegistry::RemoteReplica final : public Replica {
+ public:
+  RemoteReplica(ShardedRegistry* owner, size_t slot,
+                const RemoteShardConfig& cfg)
+      : Replica(owner, slot), shard_(cfg) {}
+
+  std::string name() const override { return shard_.endpoint(); }
+  void SubmitWith(EstimateRequest req,
+                  SelNetServer::ResponseFn done) override {
+    shard_.SubmitWith(std::move(req), std::move(done));
+  }
+  Result<uint64_t> Publish(const std::string& route,
+                           const std::shared_ptr<eval::Estimator>&,
+                           const std::string& bytes, const std::string&,
+                           uint64_t* frames) override {
+    if (bytes.empty()) return uint64_t{0};
+    return shard_.PublishBytes(route, bytes, frames);
+  }
+
+  SlotSnapshot Describe(Clock::time_point now,
+                        std::vector<StatsSnapshot>* merge) const override {
+    SlotSnapshot row;
+    row.slot = slot_;
+    row.kind = "remote";
+    row.endpoint = name();
+    row.health = ShardHealthName(health());
+    row.pending = shard_.pending();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (scrape_at_ == Clock::time_point{}) return row;
+    // Merged histograms give TRUE pooled fleet percentiles (the merge is
+    // associative — util/histogram.h). A scrape past the TTL stays out of the
+    // merge, so a long-dead node cannot freeze the fleet view.
+    const double age_ms =
+        std::chrono::duration<double, std::milli>(now - scrape_at_).count();
+    row.scrape_age_s = age_ms / 1000.0;
+    row.node_id = scrape_.node_id;
+    row.uptime_s = scrape_.uptime_s;
+    const double ttl_ms = owner_->cfg_.scrape_ttl_ms;
+    if (merge != nullptr && (ttl_ms <= 0 || age_ms <= ttl_ms)) {
+      merge->push_back(scrape_);
+    }
+    return row;
+  }
+
+  /// In-flight requests complete on the reader thread (a reply, a recv
+  /// timeout or a lost connection), so pending() converges; the deadline
+  /// covers a remote without a recv timeout and requests without deadlines.
+  void Drain(Clock::time_point deadline) override {
+    while (shard_.pending() > 0 && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  ShardHealth health() const override {
+    return ShardHealth(health_.load(std::memory_order_acquire));
+  }
+  bool supervised() const override { return true; }
+
+  void MarkSuspect() override {
+    int expected = int(ShardHealth::kHealthy);
+    if (health_.compare_exchange_strong(expected, int(ShardHealth::kSuspect),
+                                        std::memory_order_acq_rel)) {
+      Transition(ShardHealth::kHealthy, ShardHealth::kSuspect);
+      owner_->NudgeHealth();
+    }
+  }
+
+  void Heal(bool forced) override {
+    if (health() == ShardHealth::kHealthy) return;
+    Clock::time_point start = Clock::now();
+    if (!forced && not_before_ != Clock::time_point{} && start < not_before_) {
+      return;
+    }
+    Status st = Admit();
+    owner_->metrics_
+        .GetSummary("selnet_health_probe_ms", {{"endpoint", name()}})
+        ->Record(std::chrono::duration<double, std::milli>(Clock::now() -
+                                                           start)
+                     .count());
+    if (st.ok()) {
+      SetHealth(ShardHealth::kHealthy);
+      backoff_.Reset();
+      not_before_ = {};
+    } else {
+      SetHealth(ShardHealth::kDead);
+      not_before_ = Clock::now() +
+                    std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            backoff_.NextDelayMs()));
+    }
+  }
+
+  void Scrape() override {
+    if (health() != ShardHealth::kHealthy) return;  // Probing is Heal's job.
+    Result<StatsSnapshot> snap = shard_.ScrapeStats();
+    // Best-effort: on error the fleet view just ages; failure handling
+    // belongs to the health machinery (the data path or next probe).
+    owner_->metrics_
+        .GetCounter("selnet_scrape_total",
+                    {{"endpoint", name()}, {"result", snap.ok() ? "ok" : "error"}})
+        ->Increment();
+    if (!snap.ok()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    scrape_ = snap.MoveValueUnsafe();
+    scrape_at_ = Clock::now();
+  }
+
+  void CloseData() override { shard_.CloseData(); }
+
+  Clock::time_point state_since() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return since_ == Clock::time_point{} ? owner_->start_ : since_;
+  }
+
+ private:
+  /// Probe + re-admit: health check, re-publish every owned route from the
+  /// retained bytes, reconnect the data path. Runs on the health loop or the
+  /// router's constructor, never on the shard's own reader thread, so the
+  /// CloseData of a gray shard's lingering connection is safe here.
+  Status Admit() {
+    shard_.CloseData();
+    SEL_RETURN_NOT_OK(shard_.HealthCheck());
+    SetHealth(ShardHealth::kResyncing);
+    // A restarted shard_node is EMPTY — re-admitting without this would
+    // serve NotFound from a "healthy" replica. Publishing is idempotent on
+    // content (versions bump, estimates stay bit-identical), so a surviving
+    // process just gets a redundant swap.
+    for (const auto& [route, bytes] : owner_->RetainedFor(slot_)) {
+      uint64_t frames = 0;
+      auto v = shard_.PublishBytes(route, bytes, &frames);
+      owner_->RecordPublishResult(name(), v.ok(), bytes.size(), frames);
+      if (!v.ok()) return v.status();
+    }
+    return shard_.Connect();
+  }
+
+  /// Store the new state (skipping no-op changes) and record the change.
+  void SetHealth(ShardHealth to) {
+    auto from = ShardHealth(health_.exchange(int(to), std::memory_order_acq_rel));
+    if (from != to) Transition(from, to);
+  }
+
+  /// Stamp the state clock and record one observed `from -> to` transition
+  /// in the counter + event ring (the caller already swapped the state).
+  void Transition(ShardHealth from, ShardHealth to) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      since_ = Clock::now();
+    }
+    const std::string ep = name();
+    owner_->metrics_
+        .GetCounter("selnet_health_transitions_total",
+                    {{"endpoint", ep},
+                     {"from", ShardHealthName(from)},
+                     {"to", ShardHealthName(to)}})
+        ->Increment();
+    owner_->events_.Push("health", ep, ShardHealthName(from),
+                         ShardHealthName(to));
+  }
+
+  RemoteShard shard_;
+  std::atomic<int> health_{int(ShardHealth::kDead)};
+  util::Backoff backoff_{{/*base_ms=*/20.0, /*cap_ms=*/2000.0}};
+  Clock::time_point not_before_{};
+
+  mutable std::mutex mu_;
+  StatsSnapshot scrape_;           ///< Last stats_wire fetch.
+  Clock::time_point scrape_at_{};  ///< When; epoch = never scraped.
+  Clock::time_point since_{};      ///< Entered the current health state.
+};
+
 // --------------------------------------------------------- ShardedRegistry ---
 
 ShardedRegistry::ShardedRegistry(const ShardedConfig& cfg)
     : cfg_(cfg),
-      ring_(std::max<size_t>(1, cfg.num_shards) + cfg.remotes.size(),
-            cfg.virtual_nodes) {
+      num_shards_(std::max<size_t>(1, cfg.num_shards)),
+      ring_(num_shards_ + cfg.remotes.size(), cfg.virtual_nodes) {
   SEL_CHECK_MSG(cfg_.server.scheduler.pool == nullptr,
                 "ShardedConfig.server.scheduler.pool must be null: each "
                 "shard owns its pool slice");
-  size_t shards = std::max<size_t>(1, cfg_.num_shards);
   size_t threads = cfg_.threads_per_shard;
   if (threads == 0) {
     size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-    threads = std::max<size_t>(1, hw / shards);
+    threads = std::max<size_t>(1, hw / num_shards_);
   }
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->pool = std::make_unique<util::ThreadPool>(threads);
-    ServerConfig scfg = cfg_.server;
-    scfg.scheduler.pool = shard->pool.get();
-    shard->server = std::make_unique<SelNetServer>(scfg);
-    shards_.push_back(std::move(shard));
+  for (size_t s = 0; s < num_shards_; ++s) {
+    replicas_.push_back(std::make_unique<LocalReplica>(this, s, threads));
   }
-  remotes_.reserve(cfg_.remotes.size());
   for (const RemoteShardConfig& rcfg : cfg_.remotes) {
-    auto remote = std::make_unique<Remote>();
-    remote->shard = std::make_unique<RemoteShard>(rcfg);
-    remotes_.push_back(std::move(remote));
+    replicas_.push_back(
+        std::make_unique<RemoteReplica>(this, replicas_.size(), rcfg));
   }
   // Admit reachable remotes synchronously so a fleet whose nodes are already
   // up serves from the first request; the rest stay dead until the health
   // loop brings them in.
-  for (size_t i = 0; i < remotes_.size(); ++i) {
-    Status st = AdmitRemote(i);
-    SetRemoteHealth(i, st.ok() ? ShardHealth::kHealthy : ShardHealth::kDead);
-  }
-  if (!remotes_.empty()) {
+  for (auto& replica : replicas_) replica->Heal(/*forced=*/true);
+  if (!cfg_.remotes.empty()) {
     health_ = std::thread(&ShardedRegistry::HealthLoop, this);
   }
 }
 
 ShardedRegistry::~ShardedRegistry() {
+  pipelines_.clear();  // A worker mid-retrain publishes through this router.
   {
     std::lock_guard<std::mutex> lock(health_mu_);
     health_stop_ = true;
@@ -151,11 +453,35 @@ ShardedRegistry::~ShardedRegistry() {
   health_cv_.notify_all();
   if (health_.joinable()) health_.join();
   // Fail every remote's in-flight completions while the failover chain can
-  // still land retries on live slots.
-  for (auto& remote : remotes_) remote->shard->CloseData();
-  // Servers first (each drains onto its pool), then the pools they used.
-  for (auto& shard : shards_) shard->server.reset();
-  for (auto& shard : shards_) shard->pool.reset();
+  // still land retries on live slots; then the replicas go (each server
+  // drains onto its pool) before the metrics their completions record into.
+  for (auto& replica : replicas_) replica->CloseData();
+  replicas_.clear();
+}
+
+ShardedRegistry::Replica& ShardedRegistry::At(size_t slot) const {
+  SEL_CHECK_MSG(slot < replicas_.size(),
+                ("ShardedRegistry: slot " + std::to_string(slot) +
+                 " out of range (num_slots " +
+                 std::to_string(replicas_.size()) + ")")
+                    .c_str());
+  return *replicas_[slot];
+}
+
+SelNetServer& ShardedRegistry::shard(size_t i) {
+  SelNetServer* server = At(i).server();
+  SEL_CHECK_MSG(server != nullptr,
+                ("ShardedRegistry: slot " + std::to_string(i) +
+                 " is not a local shard")
+                    .c_str());
+  return *server;
+}
+
+SelNetServer* ShardedRegistry::LocalServerOf(const std::string& route) {
+  for (size_t slot : ReplicasOf(route)) {
+    if (SelNetServer* server = replicas_[slot]->server()) return server;
+  }
+  return nullptr;
 }
 
 size_t ShardedRegistry::ShardOf(const std::string& route) const {
@@ -174,9 +500,7 @@ const std::string& ShardedRegistry::EffectiveRoute(
 }
 
 ShardHealth ShardedRegistry::slot_health(size_t slot) const {
-  if (IsLocalSlot(slot)) return ShardHealth::kHealthy;
-  return ShardHealth(remotes_[slot - shards_.size()]->health.load(
-      std::memory_order_acquire));
+  return At(slot).health();
 }
 
 void ShardedRegistry::NudgeHealth() {
@@ -187,49 +511,9 @@ void ShardedRegistry::NudgeHealth() {
   health_cv_.notify_all();
 }
 
-void ShardedRegistry::MarkSuspect(size_t slot) {
-  if (IsLocalSlot(slot)) return;
-  size_t i = slot - shards_.size();
-  Remote& remote = *remotes_[i];
-  int expected = int(ShardHealth::kHealthy);
-  if (remote.health.compare_exchange_strong(expected,
-                                            int(ShardHealth::kSuspect),
-                                            std::memory_order_acq_rel)) {
-    RecordTransition(i, ShardHealth::kHealthy, ShardHealth::kSuspect);
-    NudgeHealth();
-  }
-}
-
-void ShardedRegistry::SetRemoteHealth(size_t i, ShardHealth to) {
-  Remote& remote = *remotes_[i];
-  auto from = ShardHealth(
-      remote.health.exchange(int(to), std::memory_order_acq_rel));
-  if (from != to) RecordTransition(i, from, to);
-}
-
-void ShardedRegistry::RecordTransition(size_t i, ShardHealth from,
-                                       ShardHealth to) {
-  Remote& remote = *remotes_[i];
-  {
-    std::lock_guard<std::mutex> lock(remote.scrape_mu);
-    remote.state_since = Clock::now();
-  }
-  const std::string ep = remote.shard->endpoint();
-  metrics_
-      .GetCounter("selnet_health_transitions_total",
-                  {{"endpoint", ep},
-                   {"from", ShardHealthName(from)},
-                   {"to", ShardHealthName(to)}})
-      ->Increment();
-  events_.Push("health", ep, ShardHealthName(from), ShardHealthName(to));
-}
-
-void ShardedRegistry::RecordPublishResult(size_t slot, bool accepted,
-                                          size_t bytes_sent,
-                                          uint64_t frames_sent) {
-  const std::string replica =
-      IsLocalSlot(slot) ? "shard-" + std::to_string(slot)
-                        : remotes_[slot - shards_.size()]->shard->endpoint();
+void ShardedRegistry::RecordPublishResult(const std::string& replica,
+                                          bool accepted, size_t bytes,
+                                          uint64_t frames) {
   metrics_
       .GetCounter("selnet_publish_replica_total",
                   {{"replica", replica},
@@ -239,24 +523,29 @@ void ShardedRegistry::RecordPublishResult(size_t slot, bool accepted,
     events_.Push("publish", replica, "", "reject");
     return;
   }
-  if (bytes_sent > 0) {
-    // A remote accept rode the state-transfer protocol: count the shipped
-    // volume, frames as SendModelState reported writing them.
+  if (frames > 0) {
+    // The accept rode the state-transfer protocol: count what it shipped.
     metrics_
         .GetCounter("selnet_transfer_tx_bytes_total", {{"replica", replica}})
-        ->Increment(bytes_sent);
+        ->Increment(bytes);
     metrics_
         .GetCounter("selnet_transfer_tx_frames_total", {{"replica", replica}})
-        ->Increment(frames_sent);
-    events_.Push("transfer", replica, "",
-                 std::to_string(bytes_sent) + " bytes");
+        ->Increment(frames);
+    events_.Push("transfer", replica, "", std::to_string(bytes) + " bytes");
   }
 }
 
-void ShardedRegistry::StorePublishedBytes(const std::string& name,
-                                          const std::string& bytes) {
+std::vector<std::pair<std::string, std::string>> ShardedRegistry::RetainedFor(
+    size_t slot) const {
+  std::vector<std::pair<std::string, std::string>> owned;
   std::lock_guard<std::mutex> lock(publish_mu_);
-  published_bytes_[name] = bytes;
+  for (const auto& [route, bytes] : published_bytes_) {
+    std::vector<size_t> replicas = ReplicasOf(route);
+    if (std::find(replicas.begin(), replicas.end(), slot) != replicas.end()) {
+      owned.emplace_back(route, bytes);
+    }
+  }
+  return owned;
 }
 
 uint64_t ShardedRegistry::Publish(std::shared_ptr<eval::Estimator> model) {
@@ -265,23 +554,27 @@ uint64_t ShardedRegistry::Publish(std::shared_ptr<eval::Estimator> model) {
 
 uint64_t ShardedRegistry::Publish(const std::string& name,
                                   std::shared_ptr<eval::Estimator> model) {
-  std::vector<size_t> replicas = ReplicasOf(name);
   // Serialize once when the fleet has remote slots: remote replicas receive
   // bytes over state transfer, and the SAME bytes are retained so a crashed
-  // replica can be re-synced. Models without SaveModel support (anything
-  // that is not a SelNetCt) replicate to local slots only.
+  // replica can be re-synced. A purely local fleet makes no bytes.
   std::string bytes;
-  bool have_bytes = false;
-  if (!remotes_.empty()) {
+  if (!cfg_.remotes.empty()) {
     if (const auto* ct = dynamic_cast<const core::SelNetCt*>(model.get())) {
       auto serialized = core::SaveModelBytes(*ct);
-      if (serialized.ok()) {
-        bytes = serialized.MoveValueUnsafe();
-        have_bytes = true;
-        StorePublishedBytes(name, bytes);
-      }
+      if (serialized.ok()) bytes = serialized.MoveValueUnsafe();
     }
-    if (!have_bytes) {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    if (!bytes.empty()) {
+      published_bytes_[name] = bytes;
+    } else if (published_bytes_.count(name) > 0) {
+      // Installing it locally would split the route: remote replicas, and
+      // every later resync from the retained bytes, keep the old model.
+      util::LogInfo(
+          "shard_router: route '%s' has retained model bytes but the new "
+          "model cannot serialize for state transfer; publish refused",
+          name.c_str());
+      return 0;
+    } else {
       // Loud, not silent: the ring may still place this route's primary on
       // a remote slot, which will answer not_found (the failover chain then
       // falls through to the local replicas that do hold it).
@@ -292,93 +585,49 @@ uint64_t ShardedRegistry::Publish(const std::string& name,
           name.c_str());
     }
   }
-  // The returned version is the FIRST replica that accepted — the primary
-  // when it is healthy. A failed remote primary falls back to the next
-  // accepting replica (mirroring PublishFromBytes) instead of returning a
-  // meaningless 0 alongside successful secondaries.
-  uint64_t version = 0;
-  bool have_version = false;
-  for (size_t slot : replicas) {
-    if (IsLocalSlot(slot)) {
-      uint64_t v = shards_[slot]->server->Publish(name, model);
-      RecordPublishResult(slot, /*accepted=*/true, 0, 0);
-      if (!have_version) {
-        version = v;
-        have_version = true;
-      }
-    } else if (have_bytes) {
-      uint64_t frames = 0;
-      auto v = remote_shard(slot).PublishBytes(name, bytes, &frames);
-      if (!v.ok()) {
-        RecordPublishResult(slot, /*accepted=*/false, 0, 0);
-        MarkSuspect(slot);  // The health loop re-syncs it from the bytes.
-        continue;
-      }
-      RecordPublishResult(slot, /*accepted=*/true, bytes.size(), frames);
-      if (!have_version) {
-        version = v.ValueOrDie();
-        have_version = true;
-      }
-    }
-  }
-  if (!have_version) {
+  Result<uint64_t> version = FanOut(name, model, bytes, "", /*retain=*/false);
+  if (!version.ok()) {
     util::LogInfo(
         "shard_router: publish of route '%s' reached no replica; returning "
         "version 0 (the health loop re-syncs remotes from retained bytes)",
         name.c_str());
+    return 0;
   }
-  return version;
-}
-
-Result<uint64_t> ShardedRegistry::PublishFromFile(const std::string& name,
-                                                  const std::string& path) {
-  if (remotes_.empty() && cfg_.replication <= 1) {
-    return shards_[ShardOf(name)]->server->PublishFromFile(name, path);
-  }
-  // Fleet mode: the file's raw bytes ARE the replication payload.
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open model file " + path);
-  }
-  std::string bytes;
-  char buf[64 << 10];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("cannot read model file " + path);
-  return PublishFromBytes(name, bytes, path);
+  return version.ValueOrDie();
 }
 
 Result<uint64_t> ShardedRegistry::PublishFromBytes(const std::string& name,
                                                    const std::string& bytes,
                                                    const std::string& origin) {
-  std::vector<size_t> replicas = ReplicasOf(name);
-  // The FIRST replica that accepts decides the call: a publish must not be
-  // blocked by one dead replica (the health loop re-syncs it from the
-  // retained bytes), but genuinely bad bytes fail on every replica and so
-  // fail the call — nothing is retained for them.
+  return FanOut(name, nullptr, bytes, origin,
+                /*retain=*/!cfg_.remotes.empty());
+}
+
+Result<uint64_t> ShardedRegistry::FanOut(
+    const std::string& name, const std::shared_ptr<eval::Estimator>& model,
+    const std::string& bytes, const std::string& origin, bool retain) {
+  // The FIRST replica that accepts decides the call. One dead replica must
+  // not block a publish (the health loop re-syncs it from the retained
+  // bytes); bad bytes fail on every replica, fail the call, and are not kept.
   bool accepted = false;
   uint64_t version = 0;
   Status last_error = Status::Internal("no replicas");
-  for (size_t slot : replicas) {
+  for (size_t slot : ReplicasOf(name)) {
+    Replica& replica = *replicas_[slot];
     uint64_t frames = 0;
-    Result<uint64_t> v =
-        IsLocalSlot(slot)
-            ? shards_[slot]->server->PublishFromBytes(name, bytes, origin)
-            : remote_shard(slot).PublishBytes(name, bytes, &frames);
-    RecordPublishResult(slot, v.ok(),
-                        v.ok() && !IsLocalSlot(slot) ? bytes.size() : 0,
-                        frames);
+    Result<uint64_t> v = replica.Publish(name, model, bytes, origin, &frames);
+    if (v.ok() && v.ValueOrDie() == 0) continue;  // Needs bytes; none made.
+    RecordPublishResult(replica.name(), v.ok(), bytes.size(), frames);
     if (!v.ok()) {
       last_error = v.status();
-      MarkSuspect(slot);  // No-op for local slots.
+      replica.MarkSuspect();  // The health loop re-syncs it from the bytes.
       continue;
     }
     if (!accepted) {
       accepted = true;
       version = v.ValueOrDie();
-      if (!remotes_.empty()) StorePublishedBytes(name, bytes);
+      std::lock_guard<std::mutex> lock(publish_mu_);
+      if (retain) published_bytes_[name] = bytes;
     }
   }
   if (!accepted) return last_error;
@@ -388,9 +637,10 @@ Result<uint64_t> ShardedRegistry::PublishFromBytes(const std::string& name,
 void ShardedRegistry::SubmitWith(EstimateRequest req,
                                  SelNetServer::ResponseFn done) {
   std::vector<size_t> replicas = OrderedReplicas(EffectiveRoute(req));
-  if (replicas.size() == 1 && IsLocalSlot(replicas[0])) {
-    // Pre-fleet fast path: no request copy, no failover frame.
-    shards_[replicas[0]]->server->SubmitWith(std::move(req), std::move(done));
+  Replica& first = *replicas_[replicas[0]];
+  if (replicas.size() == 1 && !first.supervised()) {
+    // Nothing to fail over to or watch: no request copy, no failover frame.
+    first.SubmitWith(std::move(req), std::move(done));
     return;
   }
   auto fo = std::make_shared<Failover>();
@@ -400,65 +650,6 @@ void ShardedRegistry::SubmitWith(EstimateRequest req,
   TryReplica(fo, 0, nullptr);
 }
 
-namespace {
-
-/// How a failed attempt steers the failover chain.
-enum class RetryClass {
-  kFinal,        ///< Deterministic verdict (bad shape, overload shed).
-  kNextReplica,  ///< Another replica might answer; this one is healthy.
-  kMarkSuspect,  ///< Another replica might answer; this one looks down/gray.
-};
-
-/// Typed RemoteErrors only: kUnavailable (never sent) / kIoError (possibly
-/// completed — estimates are pure reads, so re-asking is safe) /
-/// kDeadlineExceeded (the RECV bound, a gray shard; the request's own
-/// deadline is checked separately) mark the replica suspect and move on.
-/// kNotFound means THAT replica doesn't hold the route — a rejoining shard
-/// awaiting re-sync, or a route that replicates to local slots only — while
-/// another replica may; the replica itself answered promptly, so it stays
-/// healthy (marking it suspect would tear down its data connection on every
-/// request to such a route). Anything else is deterministic or final.
-RetryClass ClassifyFailure(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const RemoteError& e) {
-    switch (e.code()) {
-      case util::StatusCode::kUnavailable:
-      case util::StatusCode::kIoError:
-      case util::StatusCode::kDeadlineExceeded:
-        return RetryClass::kMarkSuspect;
-      case util::StatusCode::kNotFound:
-        return RetryClass::kNextReplica;
-      default:
-        return RetryClass::kFinal;
-    }
-  } catch (...) {
-    return RetryClass::kFinal;
-  }
-}
-
-/// Stable label value for the failover attempt counter — the same taxonomy
-/// ClassifyFailure keys on, one token per failure flavor.
-const char* FailureReasonName(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const RemoteError& e) {
-    switch (e.code()) {
-      case util::StatusCode::kUnavailable:       return "unavailable";
-      case util::StatusCode::kIoError:           return "io_error";
-      case util::StatusCode::kDeadlineExceeded:  return "recv_timeout";
-      case util::StatusCode::kNotFound:          return "not_found";
-      default:                                   return "internal";
-    }
-  } catch (const OverloadError&) {
-    return "overload";
-  } catch (...) {
-    return "other";
-  }
-}
-
-}  // namespace
-
 std::vector<size_t> ShardedRegistry::OrderedReplicas(
     const std::string& route) const {
   std::vector<size_t> ring_order =
@@ -467,22 +658,12 @@ std::vector<size_t> ShardedRegistry::OrderedReplicas(
   std::vector<size_t> out;
   out.reserve(ring_order.size());
   for (size_t slot : ring_order) {
-    if (slot_health(slot) == ShardHealth::kHealthy) out.push_back(slot);
+    if (replicas_[slot]->health() == ShardHealth::kHealthy) out.push_back(slot);
   }
   for (size_t slot : ring_order) {
-    if (slot_health(slot) != ShardHealth::kHealthy) out.push_back(slot);
+    if (replicas_[slot]->health() != ShardHealth::kHealthy) out.push_back(slot);
   }
   return out;
-}
-
-void ShardedRegistry::SlotSubmit(size_t slot, EstimateRequest req,
-                                 SelNetServer::ResponseFn done) {
-  if (IsLocalSlot(slot)) {
-    shards_[slot]->server->SubmitWith(std::move(req), std::move(done));
-  } else {
-    remotes_[slot - shards_.size()]->shard->SubmitWith(std::move(req),
-                                                       std::move(done));
-  }
 }
 
 void ShardedRegistry::TryReplica(const std::shared_ptr<Failover>& fo,
@@ -510,37 +691,38 @@ void ShardedRegistry::TryReplica(const std::shared_ptr<Failover>& fo,
   }
   size_t slot = fo->replicas[idx];
   EstimateRequest attempt = fo->req;  // Retries need the original intact.
-  SlotSubmit(slot, std::move(attempt),
-             [this, fo, idx, slot](EstimateResponse&& resp,
-                                   std::exception_ptr error) {
-               if (error == nullptr) {
-                 if (idx > 0) {
-                   // The request survived a failover: idx replicas were
-                   // walked past before this one answered.
-                   metrics_.GetCounter("selnet_failover_successes_total")
-                       ->Increment();
-                   metrics_
-                       .GetCounter("selnet_failover_replicas_walked_total")
-                       ->Increment(idx);
-                   events_.Push("failover", EffectiveRoute(fo->req),
-                                "slot " + std::to_string(fo->replicas[0]),
-                                "slot " + std::to_string(slot));
-                 }
-                 fo->done(std::move(resp), nullptr);
-                 return;
-               }
-               metrics_
-                   .GetCounter("selnet_failover_attempts_total",
-                               {{"reason", FailureReasonName(error)}})
-                   ->Increment();
-               RetryClass rc = ClassifyFailure(error);
-               if (rc != RetryClass::kFinal) {
-                 if (rc == RetryClass::kMarkSuspect) MarkSuspect(slot);
-                 TryReplica(fo, idx + 1, error);
-                 return;
-               }
-               fo->done(std::move(resp), error);
-             });
+  replicas_[slot]->SubmitWith(
+      std::move(attempt),
+      [this, fo, idx, slot](EstimateResponse&& resp, std::exception_ptr error) {
+        if (error == nullptr) {
+          if (idx > 0) {
+            // The request survived a failover: idx replicas were walked
+            // past before this one answered.
+            metrics_.GetCounter("selnet_failover_successes_total")
+                ->Increment();
+            metrics_.GetCounter("selnet_failover_replicas_walked_total")
+                ->Increment(idx);
+            events_.Push("failover", EffectiveRoute(fo->req),
+                         "slot " + std::to_string(fo->replicas[0]),
+                         "slot " + std::to_string(slot));
+          }
+          fo->done(std::move(resp), nullptr);
+          return;
+        }
+        Failure failure = Classify(error);
+        metrics_
+            .GetCounter("selnet_failover_attempts_total",
+                        {{"reason", failure.reason}})
+            ->Increment();
+        if (failure.retry != RetryClass::kFinal) {
+          if (failure.retry == RetryClass::kMarkSuspect) {
+            replicas_[slot]->MarkSuspect();
+          }
+          TryReplica(fo, idx + 1, error);
+          return;
+        }
+        fo->done(std::move(resp), error);
+      });
 }
 
 void ShardedRegistry::HealthLoop() {
@@ -555,39 +737,10 @@ void ShardedRegistry::HealthLoop() {
     health_nudge_ = false;
     if (health_stop_) return;
     lock.unlock();
-    Clock::time_point now = Clock::now();
-    for (size_t i = 0; i < remotes_.size(); ++i) {
-      Remote& remote = *remotes_[i];
-      auto h = ShardHealth(remote.health.load(std::memory_order_acquire));
-      if (h == ShardHealth::kHealthy) continue;
-      if (!forced && remote.not_before != Clock::time_point{} &&
-          now < remote.not_before) {
-        continue;
-      }
-      Clock::time_point probe_start = Clock::now();
-      Status st = AdmitRemote(i);
-      metrics_
-          .GetSummary("selnet_health_probe_ms",
-                      {{"endpoint", remote.shard->endpoint()}})
-          ->Record(std::chrono::duration<double, std::milli>(Clock::now() -
-                                                             probe_start)
-                       .count());
-      if (st.ok()) {
-        SetRemoteHealth(i, ShardHealth::kHealthy);
-        remote.backoff.Reset();
-        remote.not_before = {};
-      } else {
-        SetRemoteHealth(i, ShardHealth::kDead);
-        remote.not_before =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    remote.backoff.NextDelayMs()));
-      }
-    }
+    for (auto& replica : replicas_) replica->Heal(forced);
     // Scrape tick: piggybacks on the health cadence (so the effective scrape
     // period is max(scrape_interval_ms, health_interval_ms)), touching only
-    // HEALTHY remotes — probing the sick ones is the job above.
+    // HEALTHY replicas — probing the sick ones is Heal's job.
     if (cfg_.scrape_interval_ms > 0) {
       Clock::time_point snow = Clock::now();
       if (next_scrape_ == Clock::time_point{} || snow >= next_scrape_) {
@@ -602,194 +755,64 @@ void ShardedRegistry::HealthLoop() {
   }
 }
 
-void ShardedRegistry::ScrapeRemote(size_t i) {
-  Remote& remote = *remotes_[i];
-  if (ShardHealth(remote.health.load(std::memory_order_acquire)) !=
-      ShardHealth::kHealthy) {
-    return;
-  }
-  const std::string ep = remote.shard->endpoint();
-  Result<StatsSnapshot> snap = remote.shard->ScrapeStats();
-  if (!snap.ok()) {
-    // Best-effort: the fleet view just ages; actual failure handling belongs
-    // to the health machinery (the data path or next probe will notice).
-    metrics_
-        .GetCounter("selnet_scrape_total",
-                    {{"endpoint", ep}, {"result", "error"}})
-        ->Increment();
-    return;
-  }
-  metrics_
-      .GetCounter("selnet_scrape_total", {{"endpoint", ep}, {"result", "ok"}})
-      ->Increment();
-  std::lock_guard<std::mutex> lock(remote.scrape_mu);
-  remote.scrape = snap.MoveValueUnsafe();
-  remote.scrape_at = Clock::now();
-}
-
 void ShardedRegistry::ScrapeNow() {
-  for (size_t i = 0; i < remotes_.size(); ++i) ScrapeRemote(i);
-}
-
-Status ShardedRegistry::AdmitRemote(size_t i) {
-  Remote& remote = *remotes_[i];
-  RemoteShard& shard = *remote.shard;
-  // Tear down whatever data connection is left (a gray shard's connection
-  // may still be "up" TCP-wise). Safe here: this runs on the health loop or
-  // the constructor, never on the shard's own reader thread.
-  shard.CloseData();
-  SEL_RETURN_NOT_OK(shard.HealthCheck());
-  SetRemoteHealth(i, ShardHealth::kResyncing);
-  // Re-publish every route this slot replicates. A restarted shard_node is
-  // EMPTY — re-admitting without this would serve NotFound from a "healthy"
-  // replica. Publishing is idempotent on content (versions bump, estimates
-  // stay bit-identical), so a surviving process just gets a redundant swap.
-  size_t slot = shards_.size() + i;
-  std::vector<std::pair<std::string, std::string>> owned;
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    for (const auto& [route, bytes] : published_bytes_) {
-      std::vector<size_t> replicas = ReplicasOf(route);
-      if (std::find(replicas.begin(), replicas.end(), slot) !=
-          replicas.end()) {
-        owned.emplace_back(route, bytes);
-      }
-    }
-  }
-  for (const auto& [route, bytes] : owned) {
-    uint64_t frames = 0;
-    auto v = shard.PublishBytes(route, bytes, &frames);
-    RecordPublishResult(slot, v.ok(), v.ok() ? bytes.size() : 0, frames);
-    if (!v.ok()) return v.status();
-  }
-  return shard.Connect();
+  for (auto& replica : replicas_) replica->Scrape();
 }
 
 LiveUpdatePipeline& ShardedRegistry::AttachUpdatePipeline(
     const UpdatePipelineConfig& cfg, const data::Database& db,
     const data::Workload& workload) {
-  const std::string& route =
+  const std::string route =
       cfg.model_name.empty() ? cfg_.server.model_name : cfg.model_name;
-  // A pipeline runs beside a local shard's server; a route whose primary is
-  // a remote slot has none here to attach to.
-  size_t slot = ShardOf(route);
-  SEL_CHECK_MSG(IsLocalSlot(slot),
-                ("ShardedRegistry: route '" + route +
-                 "' has a remote primary; update pipelines attach to local "
-                 "shards only")
-                    .c_str());
-  SelNetServer& shard = *shards_[slot]->server;
-  // Each SelNetServer holds ONE pipeline slot, and its AttachUpdatePipeline
-  // replaces whatever is there. Replacing the SAME route is the documented
-  // re-attach semantics; silently stopping a DIFFERENT route's pipeline just
-  // because the two routes hash to one shard would be a placement-dependent
-  // surprise — fail loudly instead.
-  LiveUpdatePipeline* existing = shard.update_pipeline();
-  SEL_CHECK_MSG(existing == nullptr || existing->route() == route,
-                "ShardedRegistry: shard already runs an update pipeline for "
-                "another route; one pipeline per shard");
-  return shard.AttachUpdatePipeline(cfg, db, workload);
+  std::lock_guard<std::mutex> lock(pipeline_mu_);
+  std::unique_ptr<LiveUpdatePipeline>& slot = pipelines_[route];
+  slot.reset();  // Stop a previous pipeline of this route before the next.
+  slot = std::make_unique<LiveUpdatePipeline>(this, cfg, db, workload);
+  return *slot;
 }
 
 void ShardedRegistry::Drain() {
-  for (auto& shard : shards_) shard->server->Drain();
-  if (remotes_.empty()) return;
-  // Remote in-flight requests complete on their reader threads (a reply, a
-  // recv-timeout expiry, or a connection loss all fire the completion), so
-  // waiting on pending() converges; the bound covers a remote configured
-  // with no recv timeout and requests with no deadline.
   Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double, std::milli>(
                              std::max(0.0, cfg_.drain_remote_timeout_ms)));
-  for (auto& remote : remotes_) {
-    while (remote->shard->pending() > 0 && Clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  for (auto& replica : replicas_) replica->Drain(deadline);
 }
 
 std::vector<StatsSnapshot> ShardedRegistry::ShardSnapshots() const {
   std::vector<StatsSnapshot> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    out.push_back(shard->server->stats().Snapshot());
+  out.reserve(num_shards_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    out.push_back(replicas_[s]->server()->stats().Snapshot());
   }
   return out;
 }
 
 StatsSnapshot ShardedRegistry::AggregateSnapshot() const {
-  std::vector<StatsSnapshot> snaps = ShardSnapshots();
   const Clock::time_point now = Clock::now();
+  std::vector<StatsSnapshot> snaps;
   std::vector<SlotSnapshot> slots;
-  slots.reserve(num_slots());
-  const double local_uptime_s =
-      std::chrono::duration<double>(now - start_).count();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SlotSnapshot slot;
-    slot.slot = s;
-    slot.kind = "local";
-    slot.endpoint = "in-process";
-    slot.health = ShardHealthName(ShardHealth::kHealthy);
-    slot.node_id = cfg_.node_id;
-    slot.uptime_s = local_uptime_s;
-    slots.push_back(std::move(slot));
-  }
-  // Fold in each remote's cached scrape: bucket-merging its histograms with
-  // the local shards' gives TRUE pooled fleet percentiles (histogram merge
-  // is associative — see util/histogram.h). A scrape older than the TTL is
-  // still shown in the slot table (age-stamped) but excluded from the
-  // merged counters, so a long-dead node cannot freeze the fleet view.
-  for (size_t i = 0; i < remotes_.size(); ++i) {
-    const Remote& remote = *remotes_[i];
-    SlotSnapshot slot;
-    slot.slot = shards_.size() + i;
-    slot.kind = "remote";
-    slot.endpoint = remote.shard->endpoint();
-    slot.health = ShardHealthName(
-        ShardHealth(remote.health.load(std::memory_order_acquire)));
-    slot.pending = remote.shard->pending();
-    {
-      std::lock_guard<std::mutex> lock(remote.scrape_mu);
-      if (remote.scrape_at != Clock::time_point{}) {
-        const double age_ms =
-            std::chrono::duration<double, std::milli>(now - remote.scrape_at)
-                .count();
-        slot.scrape_age_s = age_ms / 1000.0;
-        slot.node_id = remote.scrape.node_id;
-        slot.uptime_s = remote.scrape.uptime_s;
-        if (cfg_.scrape_ttl_ms <= 0 || age_ms <= cfg_.scrape_ttl_ms) {
-          snaps.push_back(remote.scrape);
-        }
-      }
-    }
-    slots.push_back(std::move(slot));
+  slots.reserve(replicas_.size());
+  for (const auto& replica : replicas_) {
+    slots.push_back(replica->Describe(now, &snaps));
   }
   StatsSnapshot agg = AggregateSnapshots(snaps);
   agg.node_id = cfg_.node_id;
-  agg.uptime_s = local_uptime_s;
+  agg.uptime_s = std::chrono::duration<double>(now - start_).count();
   agg.slots = std::move(slots);
   return agg;
 }
 
 std::string ShardedRegistry::MetricsText() const {
-  // Refresh the time-in-state gauges right before rendering — Gauge is
-  // set-based, and "how long in the current state" only has a value at
-  // observation time. Which state it is lives in the snapshot's slot table
-  // (selnet_slot_health); this series is just the clock.
+  // Refresh the time-in-state gauges right before rendering: "how long in
+  // the current state" only has a value at observation time. Which state it
+  // is lives in the snapshot's slot table; this series is just the clock.
   const Clock::time_point now = Clock::now();
-  for (size_t i = 0; i < remotes_.size(); ++i) {
-    const Remote& remote = *remotes_[i];
-    Clock::time_point since;
-    {
-      std::lock_guard<std::mutex> lock(remote.scrape_mu);
-      since = remote.state_since;
-    }
-    if (since == Clock::time_point{}) since = start_;
+  for (const auto& replica : replicas_) {
     metrics_
-        .GetGauge("selnet_slot_state_seconds",
-                  {{"endpoint", remote.shard->endpoint()}})
-        ->Set(std::chrono::duration<double>(now - since).count());
+        .GetGauge("selnet_slot_state_seconds", {{"endpoint", replica->name()}})
+        ->Set(std::chrono::duration<double>(now - replica->state_since())
+                  .count());
   }
   return metrics_.RenderText();
 }
@@ -814,8 +837,8 @@ std::string ShardedRegistry::EventsJson() const {
 
 std::vector<SpanRecord> ShardedRegistry::SlowSpans() const {
   std::vector<SpanRecord> out;
-  for (const auto& shard : shards_) {
-    std::vector<SpanRecord> spans = shard->server->stats().SlowSpans();
+  for (size_t s = 0; s < num_shards_; ++s) {
+    std::vector<SpanRecord> spans = replicas_[s]->server()->stats().SlowSpans();
     out.insert(out.end(), std::make_move_iterator(spans.begin()),
                std::make_move_iterator(spans.end()));
   }
@@ -843,7 +866,7 @@ std::string ShardedRegistry::StatsReport() const {
                 util::AsciiTable::Num(agg.latency_p99_ms, 4),
                 util::AsciiTable::Num(CurveHitRate(agg), 4),
                 std::to_string(agg.swaps)});
-  std::string out = "sharded serving (" + std::to_string(shards_.size()) +
+  std::string out = "sharded serving (" + std::to_string(num_shards_) +
                     " shards)\n" + table.ToString();
   // Per-route placement: which shard owns what (the A/B view, sharded).
   if (!agg.routes.empty()) {
@@ -860,37 +883,26 @@ std::string ShardedRegistry::StatsReport() const {
     }
     out += "\n" + routes.ToString();
   }
-  // Fleet view: remote replicas, their failover state, and how fresh the
-  // coordinator's view of each one is.
-  if (!remotes_.empty()) {
+  // Fleet view: every replica, its failover state, and how fresh the
+  // coordinator's view of it is.
+  if (!cfg_.remotes.empty()) {
     const Clock::time_point now = Clock::now();
     util::AsciiTable fleet({"slot", "endpoint", "health", "in state s",
                             "scrape age s", "node", "pending"});
-    for (size_t i = 0; i < remotes_.size(); ++i) {
-      const Remote& r = *remotes_[i];
-      Clock::time_point since;
-      double scrape_age_s = -1.0;
-      std::string node;
-      {
-        std::lock_guard<std::mutex> lock(r.scrape_mu);
-        since = r.state_since;
-        if (r.scrape_at != Clock::time_point{}) {
-          scrape_age_s =
-              std::chrono::duration<double>(now - r.scrape_at).count();
-          node = r.scrape.node_id;
-        }
-      }
-      if (since == Clock::time_point{}) since = start_;
+    for (const auto& replica : replicas_) {
+      SlotSnapshot row = replica->Describe(now, nullptr);
       fleet.AddRow(
-          {std::to_string(shards_.size() + i), r.shard->endpoint(),
-           ShardHealthName(
-               ShardHealth(r.health.load(std::memory_order_acquire))),
+          {std::to_string(row.slot), row.endpoint, row.health,
            util::AsciiTable::Num(
-               std::chrono::duration<double>(now - since).count(), 1),
-           scrape_age_s < 0 ? "never" : util::AsciiTable::Num(scrape_age_s, 1),
-           node.empty() ? "-" : node, std::to_string(r.shard->pending())});
+               std::chrono::duration<double>(now - replica->state_since())
+                   .count(),
+               1),
+           row.scrape_age_s < 0 ? "-"
+                                : util::AsciiTable::Num(row.scrape_age_s, 1),
+           row.node_id.empty() ? "-" : row.node_id,
+           std::to_string(row.pending)});
     }
-    out += "\nremote replicas (replication R=" +
+    out += "\nreplicas (replication R=" +
            std::to_string(std::max<size_t>(1, cfg_.replication)) + ")\n" +
            fleet.ToString();
     // The failover/transfer story in one line (summed over labels).

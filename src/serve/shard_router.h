@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -13,9 +12,7 @@
 
 #include "serve/remote_shard.h"
 #include "serve/server.h"
-#include "util/backoff.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 /// \file shard_router.h
 /// \brief Serving scale-out: consistent-hash routing of model routes across
@@ -31,9 +28,10 @@
 ///   * hot-swap stays shard-local: a route's republish swaps one pointer in
 ///     one shard's registry, and version-keyed cache invalidation never
 ///     crosses a shard boundary (each shard owns its cache);
-///   * LiveUpdatePipeline attaches per route, on the owning shard, so N
-///     routes can retrain concurrently (one pipeline per shard at a time —
-///     each SelNetServer holds one pipeline slot).
+///   * the router is the one place a LiveUpdatePipeline attaches, one per
+///     route: it retrains a clone of the route's model taken from a local
+///     replica and republishes through Publish, so N routes retrain
+///     concurrently and every retrain reaches every replica of its route.
 ///
 /// Routing is a consistent-hash ring (stable 64-bit FNV-1a, `virtual_nodes`
 /// points per shard): the shard owning a route depends only on (route name,
@@ -49,7 +47,9 @@
 /// Fleet mode (PR 8): the slot list may extend past the in-process shards
 /// with REMOTE shards — `shard_node` processes reached through RemoteShard
 /// proxies — and each route may be replicated onto `replication` distinct
-/// ring successors:
+/// ring successors. The ring indexes one vector of replicas behind one
+/// interface (shard_router.cc): a local replica is a pool + SelNetServer and
+/// is always healthy; a remote one is a RemoteShard plus its failover state.
 ///
 ///   * SubmitWith routes to the route's primary replica first; a
 ///     transport-level failure (connection refused, connection lost
@@ -60,7 +60,8 @@
 ///   * Publish fans out to every replica of the route — local replicas get
 ///     the model object, remote replicas get the serialized SaveModel bytes
 ///     over the state-transfer protocol — and the bytes are retained as the
-///     re-sync source of truth.
+///     re-sync source of truth. A route with retained bytes only takes
+///     models that serialize, so no replica is left on a replaced model.
 ///   * A health loop probes non-healthy remotes on a decorrelated-jitter
 ///     backoff schedule (failover itself never sleeps — the next replica is
 ///     a different endpoint). The failover state machine per remote is
@@ -70,6 +71,9 @@
 ///     re-publishes from the retained bytes before traffic resumes.
 
 namespace selnet::serve {
+
+class LiveUpdatePipeline;
+struct UpdatePipelineConfig;
 
 /// \brief Deterministic consistent-hash ring: route name -> shard index.
 class HashRing {
@@ -157,9 +161,9 @@ const char* ShardHealthName(ShardHealth h);
 
 /// \brief N per-shard serving stacks behind one consistent-hash router.
 ///
-/// The public surface mirrors SelNetServer — Publish / SubmitWith / Drain /
-/// AttachUpdatePipeline — so the frontend (and any embedding code) can treat
-/// "one server" and "a shard fleet" interchangeably.
+/// The public surface mirrors SelNetServer — Publish / SubmitWith / Drain —
+/// so the frontend (and any embedding code) can treat "one server" and "a
+/// shard fleet" interchangeably; live-update pipelines attach here only.
 class ShardedRegistry {
  public:
   explicit ShardedRegistry(const ShardedConfig& cfg);
@@ -182,17 +186,15 @@ class ShardedRegistry {
   /// version assigned by the first replica that accepted (the primary when
   /// healthy — version counters are shard-local), or 0 when no replica
   /// accepted. Models that cannot serialize (not a SelNetCt) replicate to
-  /// local slots only; remote replicas then answer not_found for the route
-  /// and failover falls through to the local copies.
+  /// local slots only, and remote replicas answer not_found for the route —
+  /// unless the route already has retained bytes: then the publish is
+  /// refused (0, logged), because remote replicas and every later resync
+  /// would keep serving the replaced model.
   uint64_t Publish(const std::string& name,
                    std::shared_ptr<eval::Estimator> model);
 
-  /// \brief Load a core::SaveModel file and publish it under `name`.
-  util::Result<uint64_t> PublishFromFile(const std::string& name,
-                                         const std::string& path);
-
   /// \brief Deserialize SaveModel-format bytes (a state transfer) and
-  /// publish under `name` on its owning shard.
+  /// publish them under `name` on every replica of the route.
   util::Result<uint64_t> PublishFromBytes(const std::string& name,
                                           const std::string& bytes,
                                           const std::string& origin);
@@ -201,11 +203,13 @@ class ShardedRegistry {
   /// to the owning shard (walking the replicas on a retryable failure).
   void SubmitWith(EstimateRequest req, SelNetServer::ResponseFn done);
 
-  /// \brief Attach a live-update pipeline for `cfg.model_name` on its owning
-  /// shard (see SelNetServer::AttachUpdatePipeline). One pipeline per shard:
-  /// re-attaching the same route replaces its pipeline, but attaching a
-  /// second route that happens to hash to an already-piped shard aborts
-  /// (placement-dependent silent clobbering would be worse).
+  /// \brief Attach a live-update pipeline to `cfg.model_name` ("" = the
+  /// default route). It clones the route's model from a local replica
+  /// (aborting, naming the route, when the route has none), records its
+  /// counters in that replica's ServeStats, and republishes every retrain
+  /// through Publish. One pipeline per route: re-attaching a route stops
+  /// and replaces its pipeline. The registry owns the pipeline; stop it
+  /// early with LiveUpdatePipeline::Stop().
   LiveUpdatePipeline& AttachUpdatePipeline(const UpdatePipelineConfig& cfg,
                                            const data::Database& db,
                                            const data::Workload& workload);
@@ -215,31 +219,31 @@ class ShardedRegistry {
   /// requests still pending on remote replicas to complete.
   void Drain();
 
-  /// \brief LOCAL in-process shard count (the pre-fleet meaning).
-  size_t num_shards() const { return shards_.size(); }
+  /// \brief LOCAL in-process shard count: slots [0, num_shards()).
+  size_t num_shards() const { return num_shards_; }
   /// \brief Total ring slots: local shards + remote endpoints.
-  size_t num_slots() const { return shards_.size() + remotes_.size(); }
-  SelNetServer& shard(size_t i) { return *shards_[i]->server; }
-  /// \brief True when `slot` is an in-process shard (always serving).
-  bool IsLocalSlot(size_t slot) const { return slot < shards_.size(); }
-  /// \brief The RemoteShard proxy behind slot `slot` (must be remote).
-  RemoteShard& remote_shard(size_t slot) {
-    return *remotes_[slot - shards_.size()]->shard;
-  }
-  /// \brief Failover state of a slot (local slots are always healthy).
+  size_t num_slots() const { return replicas_.size(); }
+  /// \brief The server of local shard `i`; aborts unless i < num_shards().
+  SelNetServer& shard(size_t i);
+  /// \brief The first in-process server among `route`'s replicas ("" = the
+  /// default route), or null when every replica is remote.
+  SelNetServer* LocalServerOf(const std::string& route);
+  /// \brief Failover state of a slot (local slots are always healthy);
+  /// aborts unless slot < num_slots().
   ShardHealth slot_health(size_t slot) const;
   /// \brief Wake the health loop now (tests; after restarting a node).
   void NudgeHealth();
   const HashRing& ring() const { return ring_; }
   const ShardedConfig& config() const { return cfg_; }
 
-  /// \brief Per-shard snapshots, indexed by shard.
+  /// \brief Local shards' snapshots, indexed by shard.
   std::vector<StatsSnapshot> ShardSnapshots() const;
 
-  /// \brief Fleet-wide merged view (AggregateSnapshots of ShardSnapshots).
+  /// \brief Fleet-wide merged view: the local shards' snapshots plus each
+  /// remote's fresh scrape, with one slot row per replica.
   StatsSnapshot AggregateSnapshot() const;
 
-  /// \brief Every shard's retained slow-request spans, shard order.
+  /// \brief Every local shard's retained slow-request spans, shard order.
   std::vector<SpanRecord> SlowSpans() const;
 
   /// \brief One report: a per-shard section (requests/QPS/p99/curve hit rate
@@ -268,27 +272,10 @@ class ShardedRegistry {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Shard {
-    std::unique_ptr<util::ThreadPool> pool;
-    std::unique_ptr<SelNetServer> server;
-  };
-
-  /// One remote endpoint's proxy + failover state. `health` is the
-  /// cross-thread hot field; backoff/not_before belong to the health loop;
-  /// the scrape cache and state clock live under their own mutex (read by
-  /// snapshot/metrics scrapers, written by the health loop and transition
-  /// recording).
-  struct Remote {
-    std::unique_ptr<RemoteShard> shard;
-    std::atomic<int> health{int(ShardHealth::kDead)};
-    util::Backoff backoff{{/*base_ms=*/20.0, /*cap_ms=*/2000.0}};
-    Clock::time_point not_before{};
-
-    mutable std::mutex scrape_mu;
-    StatsSnapshot scrape;          ///< Last stats_wire fetch (scrape_mu).
-    Clock::time_point scrape_at{}; ///< When; epoch = never scraped.
-    Clock::time_point state_since{}; ///< Entered current health state.
-  };
+  /// One ring slot, and its two kinds (all in shard_router.cc).
+  class Replica;
+  class LocalReplica;
+  class RemoteReplica;
 
   /// In-flight failover chain for one submitted request: the request copy
   /// (retries need the original), the ordered replica slots, the caller's
@@ -300,6 +287,9 @@ class ShardedRegistry {
     std::vector<size_t> replicas;
   };
 
+  /// The replica at `slot`; aborts, naming the slot, past num_slots().
+  Replica& At(size_t slot) const;
+
   /// Resolve "" to the default route name (routing must hash the route the
   /// shard's server will actually serve under).
   const std::string& EffectiveRoute(const EstimateRequest& req) const;
@@ -309,45 +299,40 @@ class ShardedRegistry {
   /// remote fails a submit in microseconds, and it may have just come back.
   std::vector<size_t> OrderedReplicas(const std::string& route) const;
 
-  /// Submit attempt `idx` of the chain; on a retryable failure marks the
-  /// slot suspect and recurses to `idx + 1` (bounded by the request
-  /// deadline).
+  /// Submit attempt `idx` of the chain; a retryable failure moves on to
+  /// `idx + 1` (bounded by the request deadline).
   void TryReplica(const std::shared_ptr<Failover>& fo, size_t idx,
                   std::exception_ptr last_error);
-  void SlotSubmit(size_t slot, EstimateRequest req,
-                  SelNetServer::ResponseFn done);
-  /// Data-path failure: healthy -> suspect + health-loop nudge. Never blocks
-  /// (teardown happens on the health loop — completions may be running on
-  /// the very reader thread CloseData would join).
-  void MarkSuspect(size_t slot);
+
+  /// Install `model` (or, when null, `bytes`) on every replica of `name`:
+  /// the first accepting replica's version, else the last error. `retain`
+  /// keeps the bytes as the route's resync source once a replica took them.
+  util::Result<uint64_t> FanOut(const std::string& name,
+                                const std::shared_ptr<eval::Estimator>& model,
+                                const std::string& bytes,
+                                const std::string& origin, bool retain);
 
   void HealthLoop();
-  /// Probe + re-admit one remote: health check, re-publish every owned route
-  /// from the retained bytes, reconnect the data path.
-  util::Status AdmitRemote(size_t i);
-  /// Retain `bytes` as route's re-sync source of truth.
-  void StorePublishedBytes(const std::string& name, const std::string& bytes);
-  /// Store remote `i`'s new health state (skipping no-op changes), stamp
-  /// state_since, bump the transition counter, and record the event.
-  void SetRemoteHealth(size_t i, ShardHealth to);
-  /// Stamp state_since and record one observed `from -> to` transition in
-  /// the counter + event ring (the caller already swapped the state).
-  void RecordTransition(size_t i, ShardHealth from, ShardHealth to);
-  /// Count one publish-fan-out verdict for `slot`; a remote accept also adds
-  /// the shipped bytes/frames to the transfer_tx counters.
-  void RecordPublishResult(size_t slot, bool accepted, size_t bytes_sent,
-                           uint64_t frames_sent);
-  /// Fetch + cache one remote's stats_wire snapshot (best-effort).
-  void ScrapeRemote(size_t i);
+  /// The retained (route, bytes) pairs of every route `slot` replicates.
+  std::vector<std::pair<std::string, std::string>> RetainedFor(
+      size_t slot) const;
+  /// Count one publish-fan-out verdict for `replica`; an accept that
+  /// shipped transfer frames also adds `bytes` and the frames to the
+  /// transfer_tx counters.
+  void RecordPublishResult(const std::string& replica, bool accepted,
+                           size_t bytes, uint64_t frames);
 
   ShardedConfig cfg_;
+  size_t num_shards_;
   HashRing ring_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Remote>> remotes_;
+  std::vector<std::unique_ptr<Replica>> replicas_;  ///< Indexed by slot.
 
   /// route -> last published SaveModel bytes; what a rejoining replica gets.
   mutable std::mutex publish_mu_;
   std::map<std::string, std::string> published_bytes_;
+
+  std::mutex pipeline_mu_;
+  std::map<std::string, std::unique_ptr<LiveUpdatePipeline>> pipelines_;
 
   std::mutex health_mu_;
   std::condition_variable health_cv_;

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "nn/module.h"
-#include "serve/server.h"
+#include "serve/shard_router.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -14,18 +14,23 @@
 
 namespace selnet::serve {
 
-LiveUpdatePipeline::LiveUpdatePipeline(SelNetServer* server,
+LiveUpdatePipeline::LiveUpdatePipeline(ShardedRegistry* router,
                                        const UpdatePipelineConfig& cfg,
                                        const data::Database& db,
                                        const data::Workload& workload)
-    : server_(server),
+    : router_(router),
       cfg_(cfg),
-      route_(cfg.model_name.empty() ? server->config().model_name
+      route_(cfg.model_name.empty() ? router->config().server.model_name
                                     : cfg.model_name),
       db_(db),
       workload_(workload) {
-  SEL_CHECK(server != nullptr);
-  util::Result<ModelHandle> handle = server_->registry().Get(route_);
+  SelNetServer* local = router_->LocalServerOf(route_);
+  SEL_CHECK_MSG(local != nullptr,
+                ("LiveUpdatePipeline: route '" + route_ +
+                 "' has no local replica to clone the model from")
+                    .c_str());
+  stats_ = &local->stats();
+  util::Result<ModelHandle> handle = local->registry().Get(route_);
   SEL_CHECK_MSG(handle.ok(),
                 "LiveUpdatePipeline: no model published under the route");
   const auto* incremental = dynamic_cast<const core::IncrementalModel*>(
@@ -66,7 +71,7 @@ bool LiveUpdatePipeline::Submit(core::UpdateOp op) {
     queue_.push_back(std::move(op));
   }
   ops_ingested_.fetch_add(1, std::memory_order_relaxed);
-  server_->stats().RecordUpdateOps(1);
+  stats_->RecordUpdateOps(1);
   work_cv_.notify_one();
   return true;
 }
@@ -182,7 +187,7 @@ void LiveUpdatePipeline::ApplyOne(const core::UpdateOp& op) {
   last_drift_.store(drift, std::memory_order_relaxed);
   last_mae_.store(result.mae_after, std::memory_order_relaxed);
   baseline_mae_.store(manager_->baseline_mae(), std::memory_order_relaxed);
-  server_->stats().RecordDriftCheck(drift, result.retrained, result.epochs);
+  stats_->RecordDriftCheck(drift, result.retrained, result.epochs);
 
   if (result.retrained) {
     retrains_.fetch_add(1, std::memory_order_relaxed);
@@ -190,13 +195,15 @@ void LiveUpdatePipeline::ApplyOne(const core::UpdateOp& op) {
     // Republish a deep copy of the retrained shadow: the served snapshot is
     // immutable from birth (fresh leaves, invalidated fold/pack caches — the
     // CloneServable contract), so the pipeline may keep training the shadow
-    // while this version serves. Publish itself is one registry pointer swap;
-    // in-flight batches finish on the snapshot they pinned.
+    // while this version serves. The router serializes it once, fans it out
+    // to every replica of the route and keeps the bytes for resync; each
+    // swap is one registry pointer swap, and in-flight batches finish on the
+    // snapshot they pinned.
     std::shared_ptr<eval::Estimator> snapshot = shadow_inc_->CloneServable();
-    uint64_t version = server_->Publish(route_, std::move(snapshot));
+    uint64_t version = router_->Publish(route_, std::move(snapshot));
     last_version_.store(version, std::memory_order_relaxed);
     publishes_.fetch_add(1, std::memory_order_relaxed);
-    server_->stats().RecordPipelinePublish();
+    stats_->RecordPipelinePublish();
     util::LogDebug(
         "update pipeline: drift %.3f tripped on '%s'; retrained %zu epochs "
         "(MAE %.2f -> %.2f), republished as v%llu",
@@ -204,7 +211,7 @@ void LiveUpdatePipeline::ApplyOne(const core::UpdateOp& op) {
         result.mae_after, (unsigned long long)version);
   }
   ops_applied_.fetch_add(1, std::memory_order_relaxed);
-  server_->stats().RecordUpdateApplied(1);
+  stats_->RecordUpdateApplied(1);
 }
 
 }  // namespace selnet::serve

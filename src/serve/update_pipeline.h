@@ -37,16 +37,16 @@
 ///      |                          |                               |
 ///      |                  CloneServable() of the shadow           |
 ///      |                          |                               |
-///      |                ModelRegistry::Publish(route) ----------> |
-///      |                  (one pointer swap; in-flight            |
-///      |                   batches finish on their                |
-///      |                   pinned snapshot)                       |
+///      |             ShardedRegistry::Publish(route) -----------> |
+///      |               (one serialization, fan-out to every       |
+///      |                replica, bytes kept for resync; each      |
+///      |                swap is one registry pointer swap)        |
 ///
 /// Threading/ownership contract:
 ///  * The pipeline owns deep copies of the database and workload taken at
-///    attach time, plus a shadow model cloned from the served snapshot
-///    (core::IncrementalModel::CloneServable). The pipeline thread is the
-///    ONLY thread that ever touches any of them.
+///    attach time, plus a shadow model cloned from the snapshot a local
+///    replica of the route serves (core::IncrementalModel::CloneServable).
+///    The pipeline thread is the ONLY thread that ever touches any of them.
 ///  * Serving threads only ever see registry snapshots, which are immutable
 ///    after Publish: every republish ships a fresh CloneServable() copy of
 ///    the shadow (fresh autograd leaves and pack caches, fold caches
@@ -58,12 +58,13 @@
 
 namespace selnet::serve {
 
-class SelNetServer;
+class ServeStats;
+class ShardedRegistry;
 
 /// \brief Policy knobs for an attached pipeline.
 struct UpdatePipelineConfig {
-  /// Registry route to track and republish; empty = the server's default
-  /// model name.
+  /// Route to track and republish; empty = the router's default model
+  /// name.
   std::string model_name;
   /// Drift threshold (delta_U), retrain patience and epoch cap — forwarded
   /// to core::UpdateManager.
@@ -108,19 +109,23 @@ struct UpdatePipelineState {
   bool idle = true;            ///< Queue empty and no op being applied.
 };
 
-/// \brief Background update pipeline bound to one SelNetServer route.
+/// \brief Background update pipeline bound to one ShardedRegistry route
+/// (ShardedRegistry::AttachUpdatePipeline is the attach point).
 ///
-/// Construction clones the currently served model (which must implement
-/// core::IncrementalModel::CloneServable — both SelNet variants do) and
-/// starts the worker thread; destruction (or Stop) drains nothing — pending
-/// ops are dropped, the in-flight op finishes first. Use Flush() to wait for
-/// full application instead.
+/// Construction clones the model a local replica of the route serves (which
+/// must implement core::IncrementalModel::CloneServable — both SelNet
+/// variants do) and starts the worker thread. Counters go to that replica's
+/// ServeStats; every retrain republishes through ShardedRegistry::Publish,
+/// so it reaches every replica of the route. Destruction (or Stop) drains
+/// nothing — pending ops are dropped, the in-flight op finishes first. Use
+/// Flush() to wait for full application instead.
 class LiveUpdatePipeline {
  public:
   /// \brief `db` and `workload` are deep-copied as the shadow state; they
   /// must describe the data the served model was trained on. Aborts if the
-  /// route is empty or its model cannot be cloned/retrained.
-  LiveUpdatePipeline(SelNetServer* server, const UpdatePipelineConfig& cfg,
+  /// route has no local replica, is empty there, or its model cannot be
+  /// cloned/retrained.
+  LiveUpdatePipeline(ShardedRegistry* router, const UpdatePipelineConfig& cfg,
                      const data::Database& db, const data::Workload& workload);
   ~LiveUpdatePipeline();
 
@@ -155,9 +160,10 @@ class LiveUpdatePipeline {
   void WorkerLoop();
   void ApplyOne(const core::UpdateOp& op);
 
-  SelNetServer* server_;
+  ShardedRegistry* router_;
   UpdatePipelineConfig cfg_;
   std::string route_;
+  ServeStats* stats_ = nullptr;  ///< The local replica's: the counters.
 
   // Shadow state: pipeline-thread-only after construction.
   data::Database db_;

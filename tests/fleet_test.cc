@@ -586,20 +586,125 @@ TEST_F(FleetTest, LocalOnlyRouteWithRemotePrimaryFailsOverToLocalReplica) {
   EXPECT_EQ(reg.slot_health(1), ShardHealth::kHealthy);
 }
 
-// A pipeline attaches to a local shard's server. For a route whose ring
-// primary is the remote slot there is none: the attach must abort naming
-// the route, not index past the local shards.
+// A pipeline clones the route's model from a local replica. Under
+// replication 1 a route whose primary is the remote slot has none: the
+// attach must abort naming the route, not index past the local shards.
 TEST_F(FleetTest, AttachUpdatePipelineOnRemotePrimaryRouteDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ShardNode node(NodeConfig());
   ASSERT_TRUE(node.status().ok());
-  ShardedRegistry reg(FleetConfig(node.port()));
+  ShardedConfig cfg = FleetConfig(node.port());
+  cfg.replication = 1;
+  ShardedRegistry reg(cfg);
   std::string route = RouteOwnedBy(reg, 1);
   ASSERT_FALSE(route.empty());
+  EXPECT_EQ(reg.LocalServerOf(route), nullptr);
   UpdatePipelineConfig ucfg;
   ucfg.model_name = route;
   EXPECT_DEATH({ reg.AttachUpdatePipeline(ucfg, *db_, *wl_); },
-               "route '" + route + "' has a remote primary");
+               "route '" + route + "' has no local replica");
+}
+
+// Live updates reach every replica: a pipeline on a local-primary route and
+// one on a remote-primary route each retrain once, and both replicas then
+// answer bit-identically with the retrained model — also after the node is
+// killed, restarted and resynced from the retained bytes.
+TEST_F(FleetTest, PipelineRetrainsReachEveryReplicaAndSurviveResync) {
+  auto node = std::make_unique<ShardNode>(NodeConfig());
+  ASSERT_TRUE(node->status().ok());
+  const uint16_t port = node->port();
+  ShardedRegistry reg(FleetConfig(port));
+  ASSERT_TRUE(WaitForHealth(reg, 1, ShardHealth::kHealthy));
+
+  const std::vector<std::string> routes = {RouteOwnedBy(reg, 0),
+                                           RouteOwnedBy(reg, 1)};
+  std::vector<float> q = Query();
+  std::vector<float> ts = SortedThresholds(7);
+  auto sweep = [&](const std::string& route) {
+    return EstimateRequest::Sweep(q.data(), kDim, ts, route);
+  };
+  // The remote replica, asked directly (bypassing the router).
+  auto ask_node = [&](const std::string& route) {
+    NetClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", port).ok());
+    client.set_recv_timeout_ms(2000);
+    ClientCall call;
+    call.estimate = sweep(route);
+    auto reply = client.Call(call);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? reply.ValueOrDie().estimate.estimates
+                      : std::vector<float>{};
+  };
+
+  std::vector<std::vector<float>> before;
+  std::vector<LiveUpdatePipeline*> pipelines;
+  for (const std::string& route : routes) {
+    ASSERT_TRUE(reg.PublishFromBytes(route, *bytes_, "fleet test").ok());
+    before.push_back(Await(reg, sweep(route)).estimates);
+    UpdatePipelineConfig ucfg;
+    ucfg.model_name = route;
+    ucfg.policy.mae_drift_fraction = 0.0;  // Any upward drift retrains.
+    ucfg.policy.max_epochs = 1;
+    ucfg.policy.patience = 1;
+    pipelines.push_back(&reg.AttachUpdatePipeline(ucfg, *db_, *wl_));
+  }
+  for (LiveUpdatePipeline* pipeline : pipelines) {
+    // Duplicates of a validation query inflate its labels: one op drifts.
+    core::UpdateOp op;
+    op.is_insert = true;
+    const float* hot = wl_->queries.row(wl_->valid.front().query_id);
+    for (int i = 0; i < 40; ++i) op.vectors.emplace_back(hot, hot + kDim);
+    ASSERT_TRUE(pipeline->Submit(std::move(op)));
+    pipeline->Flush();
+    ASSERT_EQ(pipeline->Snapshot().publishes, 1u) << pipeline->route();
+  }
+
+  std::vector<std::vector<float>> retrained;
+  for (size_t r = 0; r < routes.size(); ++r) {
+    std::vector<float> local = Await(reg.shard(0), sweep(routes[r])).estimates;
+    EXPECT_NE(local, before[r]) << routes[r] << ": not the retrained model";
+    EXPECT_EQ(ask_node(routes[r]), local) << routes[r];
+    EXPECT_EQ(Await(reg, sweep(routes[r])).estimates, local) << routes[r];
+    retrained.push_back(local);
+  }
+
+  // Kill the node; traffic on the remote-primary route fails over to the
+  // local replica and marks the remote suspect, so its restart is resynced.
+  node.reset();
+  EXPECT_EQ(Await(reg, sweep(routes[1])).estimates, retrained[1]);
+  EXPECT_NE(reg.slot_health(1), ShardHealth::kHealthy);
+  node = std::make_unique<ShardNode>(NodeConfig(port));
+  ASSERT_TRUE(node->status().ok()) << node->status().ToString();
+  ASSERT_TRUE(WaitForHealth(reg, 1, ShardHealth::kHealthy))
+      << "restarted node was not re-admitted";
+  for (size_t r = 0; r < routes.size(); ++r) {
+    EXPECT_EQ(ask_node(routes[r]), retrained[r]) << routes[r];
+    EXPECT_EQ(Await(reg.shard(0), sweep(routes[r])).estimates, retrained[r]);
+  }
+}
+
+// A route whose model bytes are retained for resync must not take a model
+// that cannot serialize: the local replica would switch while the remote
+// one, and every later resync, kept the old model.
+TEST_F(FleetTest, UnserializableModelOverRetainedBytesIsRefused) {
+  ShardNode node(NodeConfig());
+  ASSERT_TRUE(node.status().ok());
+  ShardedRegistry reg(FleetConfig(node.port()));
+  ASSERT_TRUE(WaitForHealth(reg, 1, ShardHealth::kHealthy));
+
+  std::string route = RouteOwnedBy(reg, 1);  // Remote primary.
+  ASSERT_TRUE(reg.PublishFromBytes(route, *bytes_, "fleet test").ok());
+  std::vector<float> q = Query();
+  EstimateRequest req =
+      EstimateRequest::Point(q.data(), kDim, wl_->tmax * 0.5f, route);
+  const float reference = Await(reg, req).estimates.at(0);
+  const uint64_t local_version = reg.shard(0).registry().VersionOf(route);
+
+  EXPECT_EQ(reg.Publish(route, std::make_shared<ConstantEstimator>(0.25f)),
+            0u);
+  EXPECT_EQ(reg.shard(0).registry().VersionOf(route), local_version);
+  EXPECT_EQ(Await(reg, req).estimates.at(0), reference);
+  EXPECT_EQ(Await(reg.shard(0), req).estimates.at(0), reference);
 }
 
 TEST_F(FleetTest, HealthStateMachineAdmitsLateStartingNode) {

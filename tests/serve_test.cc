@@ -26,6 +26,7 @@
 #include "serve/servable.h"
 #include "serve/serve_stats.h"
 #include "serve/server.h"
+#include "serve/shard_router.h"
 #include "serve/update_pipeline.h"
 #include "util/stopwatch.h"
 #include "serve_await.h"
@@ -737,6 +738,15 @@ class ServeFixture : public ::testing::Test {
     return scfg;
   }
 
+  /// One local shard around MakeServerConfig: the router is where update
+  /// pipelines attach.
+  ShardedConfig OneShardConfig(bool batching, bool cache) {
+    ShardedConfig cfg;
+    cfg.server = MakeServerConfig(batching, cache);
+    cfg.num_shards = 1;
+    return cfg;
+  }
+
   std::unique_ptr<data::Database> db_;
   data::Workload wl_;
   eval::TrainContext ctx_;
@@ -1347,18 +1357,18 @@ TEST_F(ServeFixture, PerRouteStatsSplitRequestsByModel) {
 
 TEST_F(ServeFixture, AttachPipelineRequiresServedIncrementalModel) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SelNetServer server(MakeServerConfig(true, false));
+  ShardedRegistry reg(OneShardConfig(true, false));
   UpdatePipelineConfig ucfg;
   // No model published at all -> attach aborts.
-  EXPECT_DEATH({ server.AttachUpdatePipeline(ucfg, *db_, wl_); },
+  EXPECT_DEATH({ reg.AttachUpdatePipeline(ucfg, *db_, wl_); },
                "no model published");
   // A served estimator without the IncrementalModel capability aborts too.
   bl::KdeConfig kcfg;
   kcfg.num_samples = 100;
   auto kde = std::make_shared<bl::KdeEstimator>(kcfg);
   kde->Fit(ctx_);
-  server.Publish(kde);
-  EXPECT_DEATH({ server.AttachUpdatePipeline(ucfg, *db_, wl_); },
+  reg.Publish(kde);
+  EXPECT_DEATH({ reg.AttachUpdatePipeline(ucfg, *db_, wl_); },
                "not incrementally trainable");
 }
 
@@ -1366,13 +1376,14 @@ TEST_F(ServeFixture, PipelineIngestsAppliesAndRepublishes) {
   // The basic ingest -> drift -> retrain -> republish loop, single-threaded
   // observation: one drift-tripping op must bump the served version without
   // the serving path ever being told.
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/false));
-  uint64_t v0 = server.Publish(model_);
+  ShardedRegistry reg(OneShardConfig(/*batching=*/true, /*cache=*/false));
+  SelNetServer& server = reg.shard(0);
+  uint64_t v0 = reg.Publish(model_);
   UpdatePipelineConfig ucfg;
   ucfg.policy.mae_drift_fraction = 0.05;
   ucfg.policy.max_epochs = 2;
   ucfg.policy.patience = 1;
-  LiveUpdatePipeline& pipeline = server.AttachUpdatePipeline(ucfg, *db_, wl_);
+  LiveUpdatePipeline& pipeline = reg.AttachUpdatePipeline(ucfg, *db_, wl_);
 
   core::UpdateOp op;
   op.is_insert = true;
@@ -1414,13 +1425,14 @@ TEST_F(ServeFixture, PipelinePublishStormUnderSubmitLoadFailsNoQuery) {
   // sweeps) while the pipeline ingests ops, retrains, and republishes N
   // times. Zero failed queries; every sorted sweep stays non-decreasing
   // across every swap.
-  SelNetServer server(MakeServerConfig(/*batching=*/true, /*cache=*/true));
-  server.Publish(model_);
+  ShardedRegistry reg(OneShardConfig(/*batching=*/true, /*cache=*/true));
+  SelNetServer& server = reg.shard(0);
+  reg.Publish(model_);
   UpdatePipelineConfig ucfg;
   ucfg.policy.mae_drift_fraction = 0.0;  // Any upward drift retrains.
   ucfg.policy.max_epochs = 1;            // Keep each retrain quick: the storm
   ucfg.policy.patience = 1;              // measures swaps, not convergence.
-  LiveUpdatePipeline& pipeline = server.AttachUpdatePipeline(ucfg, *db_, wl_);
+  LiveUpdatePipeline& pipeline = reg.AttachUpdatePipeline(ucfg, *db_, wl_);
 
   std::vector<float> ts;
   for (int i = 0; i < 8; ++i) ts.push_back(wl_.tmax * float(i + 1) / 8.0f);

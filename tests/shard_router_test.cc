@@ -381,7 +381,6 @@ TEST_F(ShardPipelineFixture, PipelineRepublishesOnOwningShard) {
   ucfg.policy.max_epochs = 1;
   ucfg.policy.patience = 1;
   LiveUpdatePipeline& pipeline = reg.AttachUpdatePipeline(ucfg, *db_, wl_);
-  EXPECT_EQ(&pipeline, reg.shard(owner).update_pipeline());
 
   uint64_t version_before = reg.shard(owner).registry().VersionOf(route);
   core::UpdateOp op;
@@ -406,6 +405,64 @@ TEST_F(ShardPipelineFixture, PipelineRepublishesOnOwningShard) {
   for (size_t i = 1; i < resp.estimates.size(); ++i) {
     EXPECT_GE(resp.estimates[i], resp.estimates[i - 1]);
   }
+}
+
+TEST_F(ShardPipelineFixture, TwoRoutesOnOneShardEachRetrainAndRepublish) {
+  // Pipelines attach per route at the router, not per shard: two routes
+  // that hash to the same local shard each get their own pipeline.
+  ShardedRegistry reg(MakeConfig(2, /*dim=*/4));
+  std::vector<std::string> routes;
+  for (int i = 0; routes.size() < 2 && i < 1000; ++i) {
+    std::string route = "live-" + std::to_string(i);
+    if (reg.ShardOf(route) == 0) routes.push_back(route);
+  }
+  ASSERT_EQ(routes.size(), 2u);
+  std::vector<LiveUpdatePipeline*> pipelines;
+  std::vector<uint64_t> before;
+  for (const std::string& route : routes) {
+    reg.Publish(route, model_->CloneServable());
+    before.push_back(reg.shard(0).registry().VersionOf(route));
+    UpdatePipelineConfig ucfg;
+    ucfg.model_name = route;
+    ucfg.policy.mae_drift_fraction = 0.0;  // Any upward drift retrains.
+    ucfg.policy.max_epochs = 1;
+    ucfg.policy.patience = 1;
+    pipelines.push_back(&reg.AttachUpdatePipeline(ucfg, *db_, wl_));
+  }
+  auto drifting_op = [&] {
+    core::UpdateOp op;
+    op.is_insert = true;
+    const float* hot = wl_.queries.row(wl_.valid[0].query_id);
+    for (int i = 0; i < 40; ++i) op.vectors.emplace_back(hot, hot + 4);
+    return op;
+  };
+  for (LiveUpdatePipeline* pipeline : pipelines) {
+    ASSERT_TRUE(pipeline->Submit(drifting_op()));
+  }
+  for (size_t r = 0; r < routes.size(); ++r) {
+    pipelines[r]->Flush();
+    UpdatePipelineState state = pipelines[r]->Snapshot();
+    EXPECT_EQ(pipelines[r]->route(), routes[r]);
+    EXPECT_EQ(state.retrains_triggered, 1u) << routes[r];
+    EXPECT_EQ(state.publishes, 1u) << routes[r];
+    EXPECT_EQ(reg.shard(0).registry().VersionOf(routes[r]),
+              state.last_published_version);
+    EXPECT_GT(state.last_published_version, before[r]);
+  }
+  // Stopping one pipeline leaves the other running.
+  pipelines[0]->Stop();
+  EXPECT_FALSE(pipelines[0]->Submit(drifting_op()));
+  ASSERT_TRUE(pipelines[1]->Submit(drifting_op()));
+  pipelines[1]->Flush();
+  EXPECT_EQ(pipelines[1]->Snapshot().ops_applied, 2u);
+}
+
+TEST(ShardedRegistryDeathTest, SlotLookupsPastNumSlotsDie) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardedRegistry reg(MakeConfig(2));
+  EXPECT_EQ(reg.slot_health(1), ShardHealth::kHealthy);
+  EXPECT_DEATH({ reg.slot_health(2); }, "slot 2 out of range");
+  EXPECT_DEATH({ reg.shard(2); }, "slot 2 out of range");
 }
 
 }  // namespace

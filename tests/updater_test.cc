@@ -7,6 +7,7 @@
 #include "core/updater.h"
 #include "data/synthetic.h"
 #include "serve/server.h"
+#include "serve/shard_router.h"
 #include "serve/update_pipeline.h"
 
 namespace selnet::core {
@@ -176,16 +177,19 @@ TEST_F(UpdaterFixture, PipelineShadowRetrainMatchesDirectIncrementalFit) {
   ASSERT_TRUE(direct_res.retrained);
   ASSERT_GT(direct_res.epochs, 0u);
 
-  // Pipeline path: publish an identical clone, attach, submit the same op.
-  serve::ServerConfig scfg;
-  scfg.dim = 6;
-  scfg.enable_batching = false;
-  serve::SelNetServer server(scfg);
-  uint64_t v0 = server.Publish(std::shared_ptr<SelNetCt>(model_->Clone()));
+  // Pipeline path: publish an identical clone through a one-shard router,
+  // attach, submit the same op.
+  serve::ShardedConfig rcfg;
+  rcfg.server.dim = 6;
+  rcfg.server.enable_batching = false;
+  rcfg.num_shards = 1;
+  serve::ShardedRegistry router(rcfg);
+  serve::SelNetServer& server = router.shard(0);
+  uint64_t v0 = router.Publish(std::shared_ptr<SelNetCt>(model_->Clone()));
   serve::UpdatePipelineConfig ucfg;
   ucfg.policy = policy;
   serve::LiveUpdatePipeline& pipeline =
-      server.AttachUpdatePipeline(ucfg, *db_, wl_);
+      router.AttachUpdatePipeline(ucfg, *db_, wl_);
   ASSERT_TRUE(pipeline.Submit(op));
   pipeline.Flush();
 
